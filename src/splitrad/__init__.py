@@ -17,14 +17,15 @@ from .qpoly import QPoly, RatFunc, irreducible_factors
 from .places import (FIELD_Q, FIELD_QT, Place, ProjectivePoint, local_abs_log,
                      naive_height, places_below, product_formula_check,
                      radical, support)
-from .dynamics import (ParseError, Poly, PreperiodicPoint, center, conjugate,
-                       critical_points, in_superattracting_family, iterate,
-                       parse_ground, parse_poly, preperiodic_points,
-                       print_poly, superattracting_cycles)
+from .dynamics import (ParseError, Poly, PreperiodicPoint,
+                       candidate_bad_primes, center, conjugate,
+                       critical_points, escape_exponent,
+                       in_superattracting_family, iterate, parse_ground,
+                       parse_poly, preperiodic_points, print_poly,
+                       superattracting_cycles)
 from .localheights import (LocalProfile, NewtonPolygon, analyze,
-                           candidate_bad_primes, canonical_height,
-                           critical_height_global, critical_height_local,
-                           escape_exponent, escape_rate_arch,
+                           canonical_height, critical_height_global,
+                           critical_height_local, escape_rate_arch,
                            escape_rate_nonarch, newton_polygon,
                            splitting_exponent, splitting_radius)
 from .berkovich import (AnnulusPosition, ChainLevel, DiskChain, WingCluster,

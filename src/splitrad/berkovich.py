@@ -219,14 +219,6 @@ def _fp_derivative(a: list[int], p: int) -> list[int]:
     return _fp_trim([i * c % p for i, c in enumerate(a)][1:])
 
 
-def _fp_powmod_x(e_steps: int, mod: list[int], p: int) -> list[int]:
-    """x^(p^e_steps) mod `mod`, by e_steps successive p-th powers."""
-    base = _fp_mod([0, 1], mod, p)
-    for _ in range(e_steps):
-        base = _fp_pow(base, p, mod, p)
-    return base
-
-
 def _fp_pow(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
     base = _fp_mod(a[:], mod, p)
@@ -273,7 +265,7 @@ def _fp_roots(a: list[int], p: int, rng_seed: int = 0x526F) -> list[int]:
     if len(a) - 1 < 1:
         return []
     # restrict to the product of the linear factors
-    xq = _fp_powmod_x(1, a, p)  # x^p mod a
+    xq = _fp_pow([0, 1], p, a, p)  # x^p mod a
     lin = _fp_gcd(_fp_sub(xq, [0, 1], p), a, p)
     deg = len(lin) - 1
     if deg <= 0:

@@ -3,15 +3,13 @@
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 undetermined
 certificate.  Artifacts are JSON/CSV/SVG on stdout or --out.  A --config
 file of key=value lines supplies defaults (tol, m0, eps, depth, grid,
-nonarch_maxiter, arch_maxiter); SPLITRAD_THREADS caps the worker count for
-the per-place analysis loop.
+nonarch_maxiter, arch_maxiter).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,21 +43,13 @@ class RunConfig:
     eps: Fraction = Fraction(1, 2)
     grid: int = 600
     out: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if not self.tol > 0:
             raise DomainError("tolerance must be positive")
         if min(self.nonarch_maxiter, self.arch_maxiter, self.depth,
-               self.m0, self.grid, self.threads) < 1:
+               self.m0, self.grid) < 1:
             raise DomainError("iteration caps and sizes must be >= 1")
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SPLITRAD_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _read_config(path: str | None) -> dict:
@@ -184,7 +174,6 @@ def _build_config(args, cfg) -> RunConfig:
         eps=Fraction(_cfg_value(args, cfg, "eps", "1/2", str)),
         grid=_cfg_value(args, cfg, "grid", 600, int),
         out=args.out,
-        threads=thread_count(),
     )
 
 
@@ -198,7 +187,7 @@ def _run(args) -> int:
 
     if args.command == "analyze":
         f = parse_poly(args.poly, args.field)
-        profiles, hcrit = analyze(f, tol, workers=rc.threads)
+        profiles, hcrit = analyze(f, tol)
         payload = {
             "poly": print_poly(f),
             "places": {pr.place.label(): pr.to_json() for pr in profiles},

@@ -458,38 +458,47 @@ class PreperiodicPoint:
     period: int
 
 
-def _escape_exponent(f: Poly, p: int) -> Fraction:
-    """log_p of the radius beyond which |f(z)|_p = |a_d|_p |z|_p^d exactly."""
+def escape_exponent(f: Poly, p: int) -> Fraction:
+    """log_p theta_p: beyond radius p^s, |f(z)|_p = |a_d|_p |z|_p^d exactly."""
     d = f.degree
     vd = valuation(f.lc, p)
     s = Fraction(vd, d - 1)
     for i in range(d):
-        ai = f[i]
-        if ai != 0:
-            s = max(s, Fraction(vd - valuation(ai, p), d - i))
+        if f[i] != 0:
+            s = max(s, Fraction(vd - valuation(f[i], p), d - i))
     return s
 
 
-def _search_box(f: Poly):
-    """(arch bound R, denominator bound B, forced numerator divisor F, primes)."""
-    d = f.degree
+def candidate_bad_primes(f: Poly) -> list[int]:
+    """Finite set of primes outside of which lambda_crit,p is provably 0.
+
+    If p divides no coefficient denominator, the leading coefficient is a
+    p-unit and p > d, then f is p-integral with unit top degree, its critical
+    points are p-integral, and every p-integral orbit stays bounded.
+    """
     primes: set[int] = set()
     for c in f.coeffs:
         if c.denominator > 1:
-            primes.update(p for p, _ in factorize(c.denominator))
+            primes.update(q for q, _ in factorize(c.denominator))
     for n in (f.lc.numerator, f.lc.denominator):
         if abs(n) > 1:
-            primes.update(p for p, _ in factorize(n))
-    primes.update(p for p in range(2, d + 1) if is_prime(p))
+            primes.update(q for q, _ in factorize(n))
+    primes.update(q for q in range(2, f.degree + 1) if is_prime(q))
+    return sorted(primes)
+
+
+def _search_box(f: Poly):
+    """(arch bound R, denominator bound B, forced numerator divisor F)."""
     B, F = 1, 1
-    for p in sorted(primes):
-        s = _escape_exponent(f, p)
+    for p in candidate_bad_primes(f):
+        s = escape_exponent(f, p)
         if s > 0:
             B *= p ** math.floor(s)
         elif s < 0:
             F *= p ** math.ceil(-s)
+    d = f.degree
     R = max(Fraction(1), (2 + sum(abs(f[i]) for i in range(d))) / abs(f.lc))
-    return R, B, F, sorted(primes)
+    return R, B, F
 
 
 def _in_box(x: Fraction, R: Fraction, B: int, F: int) -> bool:
@@ -510,7 +519,7 @@ def preperiodic_points(f: Poly) -> list[PreperiodicPoint]:
     """
     if f.field != FIELD_Q:
         raise DomainError("preperiodic search runs over Q")
-    R, B, F, _ = _search_box(f)
+    R, B, F = _search_box(f)
     results: list[PreperiodicPoint] = []
     decided: dict[Fraction, bool] = {}
 
@@ -539,7 +548,7 @@ def preperiodic_points(f: Poly) -> list[PreperiodicPoint]:
         nmax = int(R * b)
         nmax_cache[b] = nmax
         for a in range(-nmax, nmax + 1):
-            if _gcd(a, b) != 1:
+            if math.gcd(a, b) != 1:
                 continue
             if F > 1 and a % F != 0:
                 continue
@@ -559,9 +568,3 @@ def preperiodic_points(f: Poly) -> list[PreperiodicPoint]:
                 seen[nxt] = len(orbit)
                 orbit.append(nxt)
     return sorted(results)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

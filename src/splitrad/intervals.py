@@ -1,13 +1,30 @@
-"""Certified closed float intervals with outward rounding.
+"""Certified closed float intervals with outward rounding, and complex boxes.
 
 Every archimedean quantity in the library is carried as an Interval so that
 numeric claims come with an enclosure.  Only the operations the height
 machinery needs are provided: add/sub/mul, scalar mixing with exact
 rationals, log/exp, max, and containment queries.
+
+Interval (a real enclosure) and CBox (a complex rectangle of two Intervals)
+share the small protocol the polynomial evaluators need, so one horner,
+taylor_enclosures and horner_centered serve both:
+
+- ``enclose(c)``: enclosure of a coefficient (exact rational, or already an
+  enclosure of this type);
+- ``point(m)`` and ``ball(m, r)``: the point m and the ball of radius r about
+  it (a square for CBox), with m a float or a complex number;
+- ``mid`` and ``x - mid``: the midpoint and the translate centred at 0;
+- ``span``: one width measure, the larger side;
+- ``encloses(other)``: containment of another enclosure;
+- ``modulus()``: an Interval containing |z| for all z in the enclosure.
+
+A real point stays an Interval: a CBox with a zero imaginary part would cost
+four interval products per product.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -48,6 +65,15 @@ class Interval:
     @classmethod
     def point(cls, x: float) -> "Interval":
         return cls(x, x)
+
+    @classmethod
+    def ball(cls, m: float, r: float) -> "Interval":
+        return cls(m - r, m + r)
+
+    @classmethod
+    def enclose(cls, c) -> "Interval":
+        """An Interval as is; anything else as the enclosure of an exact rational."""
+        return c if isinstance(c, Interval) else cls.from_fraction(c)
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "Interval":
@@ -92,6 +118,8 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
+    span = width
+
     @property
     def mid(self) -> float:
         if math.isinf(self.lo) or math.isinf(self.hi):
@@ -108,6 +136,9 @@ class Interval:
 
     def is_point(self) -> bool:
         return self.lo == self.hi
+
+    def encloses(self, other: "Interval") -> bool:
+        return self.lo <= other.lo and other.hi <= self.hi
 
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -185,7 +216,7 @@ class Interval:
         cands = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
         return Interval(_down(min(cands)), _up(max(cands)))
 
-    def abs(self) -> "Interval":
+    def modulus(self) -> "Interval":
         if self.lo >= 0:
             return Interval(self.lo, self.hi)
         if self.hi <= 0:
@@ -210,38 +241,6 @@ class Interval:
         return Interval(_down(self.lo - eps), _up(self.hi + eps))
 
 
-def horner(coeffs, x: Interval) -> Interval:
-    """Evaluate sum(coeffs[i] * x^i) with interval arithmetic.
-
-    Coefficients may be exact rationals; they are enclosed once.
-    """
-    acc = Interval.zero()
-    for c in reversed(list(coeffs)):
-        ci = c if isinstance(c, Interval) else Interval.from_fraction(Fraction(c))
-        acc = acc * x + ci
-    return acc
-
-
-def taylor_enclosures(coeffs, m: float) -> list[Interval]:
-    """Interval enclosures of the Taylor coefficients of the polynomial at m."""
-    cs = [c if isinstance(c, Interval) else Interval.from_fraction(Fraction(c))
-          for c in coeffs]
-    mi = Interval.point(m)
-    n = len(cs)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            cs[j] = cs[j] + mi * cs[j + 1]
-    return cs
-
-
-def horner_centered(coeffs, x: Interval) -> Interval:
-    """Evaluate on x via the Taylor form at its midpoint (kills the dependency blowup)."""
-    m = x.mid
-    if not math.isfinite(m) or x.width == 0.0:
-        return horner(coeffs, x)
-    return horner(taylor_enclosures(coeffs, m), x - m)
-
-
 class CBox:
     """Complex rectangle re x im of certified intervals."""
 
@@ -255,20 +254,40 @@ class CBox:
     def point(cls, z: complex) -> "CBox":
         return cls(Interval.point(z.real), Interval.point(z.imag))
 
+    @classmethod
+    def ball(cls, m: complex, r: float) -> "CBox":
+        return cls(Interval.ball(m.real, r), Interval.ball(m.imag, r))
+
+    @classmethod
+    def enclose(cls, c) -> "CBox":
+        """A CBox as is, a complex float as a point, else an exact rational."""
+        if isinstance(c, CBox):
+            return c
+        if isinstance(c, complex):
+            return cls.point(c)
+        return cls(Interval.from_fraction(c), Interval.zero())
+
     def __add__(self, other: "CBox") -> "CBox":
         return CBox(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, m: complex) -> "CBox":
+        """Translate by the complex point -m."""
+        return CBox(self.re - m.real, self.im - m.imag)
 
     def __mul__(self, other: "CBox") -> "CBox":
         return CBox(self.re * other.re - self.im * other.im,
                     self.re * other.im + self.im * other.re)
 
-    def contains_box(self, other: "CBox") -> bool:
-        return (self.re.lo <= other.re.lo and other.re.hi <= self.re.hi
-                and self.im.lo <= other.im.lo and other.im.hi <= self.im.hi)
+    @property
+    def span(self) -> float:
+        return max(self.re.width, self.im.width)
+
+    def encloses(self, other: "CBox") -> bool:
+        return self.re.encloses(other.re) and self.im.encloses(other.im)
 
     def modulus(self) -> Interval:
         """Interval containing |z| for all z in the box."""
-        re_a, im_a = self.re.abs(), self.im.abs()
+        re_a, im_a = self.re.modulus(), self.im.modulus()
         hi = _up(math.hypot(re_a.hi, im_a.hi))
         hi = _up(hi)
         lo = math.hypot(re_a.lo, im_a.lo)
@@ -283,43 +302,32 @@ class CBox:
         return f"CBox({self.re!r}, {self.im!r})"
 
 
-def chorner(coeffs, z: CBox) -> CBox:
-    acc = CBox(Interval.zero(), Interval.zero())
-    for c in reversed(list(coeffs)):
-        if isinstance(c, CBox):
-            ci = c
-        elif isinstance(c, complex):
-            ci = CBox.point(c)
-        else:
-            ci = CBox(Interval.from_fraction(Fraction(c)), Interval.zero())
-        acc = acc * z + ci
+def horner(coeffs, x):
+    """Evaluate sum(coeffs[i] * x^i) in the enclosure type of x (Interval or CBox).
+
+    Exact rational coefficients are enclosed once each; no coefficients give 0.
+    """
+    enclose = x.enclose
+    rest = reversed(coeffs)
+    acc = enclose(next(rest, 0))
+    for c in rest:
+        acc = acc * x + enclose(c)
     return acc
 
 
-def ctaylor_enclosures(coeffs, m: complex) -> list[CBox]:
-    """CBox enclosures of the Taylor coefficients at a complex point m."""
-    cs = []
-    for c in coeffs:
-        if isinstance(c, CBox):
-            cs.append(c)
-        elif isinstance(c, complex):
-            cs.append(CBox.point(c))
-        else:
-            cs.append(CBox(Interval.from_fraction(Fraction(c)), Interval.zero()))
-    mi = CBox.point(m)
+def taylor_enclosures(coeffs, m):
+    """Enclosures of the Taylor coefficients of the polynomial at the point enclosure m."""
+    cs = [m.enclose(c) for c in coeffs]
     n = len(cs)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            cs[j] = cs[j] + mi * cs[j + 1]
+            cs[j] = cs[j] + m * cs[j + 1]
     return cs
 
 
-def chorner_centered(coeffs, z: CBox) -> CBox:
-    m = z.mid
-    if not (math.isfinite(m.real) and math.isfinite(m.imag)):
-        return chorner(coeffs, z)
-    if z.re.width == 0.0 and z.im.width == 0.0:
-        return chorner(coeffs, z)
-    shifted = ctaylor_enclosures(coeffs, m)
-    u = CBox(z.re - m.real, z.im - m.imag)
-    return chorner(shifted, u)
+def horner_centered(coeffs, x):
+    """Evaluate on x via the Taylor form at its midpoint (kills the dependency blowup)."""
+    m = x.mid
+    if not cmath.isfinite(m) or x.span == 0.0:
+        return horner(coeffs, x)
+    return horner(taylor_enclosures(coeffs, x.point(m)), x - m)

@@ -13,15 +13,16 @@ tail is bounded explicitly and shrinks doubly fast as the orbit grows.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DomainError, LogValue, UndeterminedError, factorize,
                     is_prime, valuation)
-from .dynamics import Poly, center, critical_points
-from .intervals import (CBox, Interval, chorner, chorner_centered,
-                        horner_centered)
+from .dynamics import (Poly, candidate_bad_primes, center, critical_points,
+                       escape_exponent)
+from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
 from .qpoly import QPoly, lagrange_interpolate
 
@@ -141,17 +142,6 @@ def splitting_radius(f: Poly, p: int) -> LogValue | None:
 # non-archimedean escape rate
 # ---------------------------------------------------------------------------
 
-def escape_exponent(f: Poly, p: int) -> Fraction:
-    """log_p theta_p: beyond radius p^s, |f(z)|_p = |a_d|_p |z|_p^d exactly."""
-    d = f.degree
-    vd = valuation(f.lc, p)
-    s = Fraction(vd, d - 1)
-    for i in range(d):
-        if f[i] != 0:
-            s = max(s, Fraction(vd - valuation(f[i], p), d - i))
-    return s
-
-
 def _invariant_disk_range(shifted: QPoly, c: Fraction, p: int):
     """(lo, hi) rational log_p radii t with f(D(c, p^t)) inside D(c, p^t); None if empty.
 
@@ -220,51 +210,30 @@ def _arch_threshold(f: Poly) -> tuple[float, Fraction]:
     return math.nextafter(th, math.inf), ratio_sum
 
 
-def _try_invariant_interval(coeffs, Z: Interval, max_period: int = 4) -> bool:
-    """Search for D containing Z with f^j(D) inside D for some j <= max_period."""
+def _try_invariant(coeffs, Z, max_period: int = 4) -> bool:
+    """Search for a ball D containing Z with f^j(D) inside D for some j <= max_period."""
     mid = Z.mid
-    if not math.isfinite(mid):
+    if not cmath.isfinite(mid):
         return False
-    base = max(Z.width, 1e-9 * (1.0 + abs(mid)))
-    r = base
+    r = max(Z.span, 1e-9 * (1.0 + abs(mid)))
     limit = 4.0 * (1.0 + abs(mid))
     while r <= limit:
-        D = Interval(mid - r, mid + r)
-        if D.lo <= Z.lo and Z.hi <= D.hi:
+        D = Z.ball(mid, r)
+        if D.encloses(Z):
             W = D
             for _ in range(max_period):
                 W = horner_centered(coeffs, W)
-                if D.lo <= W.lo and W.hi <= D.hi:
+                if D.encloses(W):
                     return True
-                if W.width > 64.0 * r + 64.0:
-                    break
-        r *= 2.0
-    return False
-
-
-def _try_invariant_box(coeffs, Z: CBox, max_period: int = 4) -> bool:
-    mid = Z.mid
-    if not (math.isfinite(mid.real) and math.isfinite(mid.imag)):
-        return False
-    base = max(Z.re.width, Z.im.width, 1e-9 * (1.0 + abs(mid)))
-    r = base
-    limit = 4.0 * (1.0 + abs(mid))
-    while r <= limit:
-        D = CBox(Interval(mid.real - r, mid.real + r), Interval(mid.imag - r, mid.imag + r))
-        if D.contains_box(Z):
-            W = D
-            for _ in range(max_period):
-                W = chorner_centered(coeffs, W)
-                if D.contains_box(W):
-                    return True
-                if W.re.width > 64.0 * r + 64.0:
+                if W.span > 64.0 * r + 64.0:
                     break
         r *= 2.0
     return False
 
 
 def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
-                              maxiter: int, is_box: bool) -> LogValue:
+                              maxiter: int) -> LogValue:
+    """Escape rate from an Interval or CBox enclosure of the starting point."""
     d = f.degree
     theta_hi, ratio_sum = _arch_threshold(f)
     ratio_hi = math.nextafter(float(ratio_sum), math.inf)
@@ -283,7 +252,7 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
     escaped_budget = extra_steps
     lam = None
     for n in range(maxiter + extra_steps + 1):
-        mod = Z.modulus() if is_box else Z.abs()
+        mod = Z.modulus()
         if mod.lo >= theta_hi:
             lam = candidate(mod, n)
             if lam.width <= tol:
@@ -307,16 +276,10 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
                     return LogValue.from_interval(lam)
                 raise UndeterminedError(
                     f"archimedean enclosure plateaued at width {lam.width:.3g} > tol {tol:.3g}")
-        else:
-            bounded = (_try_invariant_box(coeffs, Z) if is_box
-                       else _try_invariant_interval(coeffs, Z))
-            if bounded:
-                return LogValue.zero()
-        Z = chorner_centered(coeffs, Z) if is_box else horner_centered(coeffs, Z)
-        if is_box:
-            w, scale = Z.re.width + Z.im.width, max(1.0, Z.modulus().lo)
-        else:
-            w, scale = Z.width, max(1.0, Z.abs().lo)
+        elif _try_invariant(coeffs, Z):
+            return LogValue.zero()
+        Z = horner_centered(coeffs, Z)
+        w, scale = Z.span, max(1.0, Z.modulus().lo)
         if not math.isfinite(w) or w > 1e-3 * scale:
             raise UndeterminedError("archimedean interval iteration lost precision")
     raise UndeterminedError(f"no archimedean certificate within {maxiter} iterations")
@@ -339,14 +302,13 @@ def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
         if nxt.numerator.bit_length() + nxt.denominator.bit_length() > 2000:
             break
         orbit.append(nxt)
-    return _escape_rate_arch_generic(f, Interval.from_fraction(z), tol, extra_steps,
-                                     maxiter, is_box=False)
+    return _escape_rate_arch_generic(f, Interval.from_fraction(z), tol, extra_steps, maxiter)
 
 
 def escape_rate_arch_box(f: Poly, box: CBox, tol: float = 1e-9,
                          maxiter: int = 400) -> LogValue:
     """Escape rate over a certified complex enclosure (for irrational critical points)."""
-    return _escape_rate_arch_generic(f, box, tol, 0, maxiter, is_box=True)
+    return _escape_rate_arch_generic(f, box, tol, 0, maxiter)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +348,13 @@ def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
     radii = []
     for w in ws:
         wb = CBox.point(w)
-        num_hi = chorner(gm.coeffs, wb).modulus().hi
-        den_lo = chorner(gp.coeffs, wb).modulus().lo
+        num_hi = horner(gm.coeffs, wb).modulus().hi
+        den_lo = horner(gp.coeffs, wb).modulus().lo
         if den_lo <= 0:
             raise UndeterminedError("cannot certify complex critical points (derivative enclosure hits 0)")
         r = math.nextafter(n * num_hi / den_lo, math.inf) * (1 + 1e-9) + 1e-300
         radii.append(r)
-        boxes.append(CBox(Interval(w.real - r, w.real + r), Interval(w.imag - r, w.imag + r)))
+        boxes.append(CBox.ball(w, r))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(ws[i] - ws[j]) <= (radii[i] + radii[j]) * (1 + 1e-9):
@@ -487,24 +449,6 @@ def critical_height_local(f: Poly, v: Place, tol: float = 1e-9) -> LogValue:
     return LogValue.from_log(p, lam) if lam != 0 else LogValue.zero()
 
 
-def candidate_bad_primes(f: Poly) -> list[int]:
-    """Finite set of primes outside of which lambda_crit,p is provably 0.
-
-    If p divides no coefficient denominator, the leading coefficient is a
-    p-unit and p > d, then f is p-integral with unit top degree, its critical
-    points are p-integral, and every p-integral orbit stays bounded.
-    """
-    primes: set[int] = set()
-    for c in f.coeffs:
-        if c.denominator > 1:
-            primes.update(q for q, _ in factorize(c.denominator))
-    for n in (f.lc.numerator, f.lc.denominator):
-        if abs(n) > 1:
-            primes.update(q for q, _ in factorize(n))
-    primes.update(q for q in range(2, f.degree + 1) if is_prime(q))
-    return sorted(primes)
-
-
 def critical_height_global(f: Poly, tol: float = 1e-9) -> LogValue:
     """h_crit(f): sum over all places of r_v lambda_crit,v."""
     total = critical_height_local(f, Place.arch(), tol)
@@ -552,12 +496,8 @@ class LocalProfile:
         }
 
 
-def analyze(f: Poly, tol: float = 1e-9, workers: int = 1) -> tuple[list[LocalProfile], LogValue]:
-    """Per-place reduction/critical data plus the global critical height.
-
-    Places are independent; with workers > 1 they are computed in a thread
-    pool and merged in place order, so output does not depend on scheduling.
-    """
+def analyze(f: Poly, tol: float = 1e-9) -> tuple[list[LocalProfile], LogValue]:
+    """Per-place reduction/critical data plus the global critical height."""
     places = [Place.finite(p) for p in candidate_bad_primes(f)] + [Place.arch()]
 
     def profile(v: Place) -> LocalProfile:
@@ -567,12 +507,7 @@ def analyze(f: Poly, tol: float = 1e-9, workers: int = 1) -> tuple[list[LocalPro
             return LocalProfile(v, g is not None, g, lam)
         return LocalProfile(v, None, None, lam)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            profiles = list(pool.map(profile, places))
-    else:
-        profiles = [profile(v) for v in places]
+    profiles = [profile(v) for v in places]
     total = LogValue.zero()
     for pr in profiles:
         total = total + pr.lambda_crit

@@ -9,6 +9,7 @@ t = infinity).  Irreducible factorization over Q is delegated to sympy.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -218,14 +219,12 @@ class QPoly:
         if p.degree() <= 0:
             return sorted(roots.items())
         # clear denominators -> integer polynomial
-        den_lcm = 1
-        for c in p.coeffs:
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+        den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
         ip = [int(c * den_lcm) for c in p.coeffs]
         a0, an = abs(ip[0]), abs(ip[-1])
         for num in divisors(a0):
             for den in divisors(an):
-                if _gcd_int(num, den) != 1:
+                if math.gcd(num, den) != 1:
                     continue
                 for cand in (Fraction(num, den), Fraction(-num, den)):
                     mult = 0
@@ -240,12 +239,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({format_tpoly(self)})"
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _lift(c: Fraction, x):

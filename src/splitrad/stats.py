@@ -16,10 +16,10 @@ from .exact import (DomainError, INFINITY, LogValue, UndeterminedError,
                     factorize, valuation)
 from .berkovich import (annulus_mass, annulus_membership_in_chain,
                         AnnulusPosition, inner_disk_chain, wing_clusters)
-from .dynamics import (Poly, conjugate, parse_poly, preperiodic_points,
-                       superattracting_cycles)
-from .localheights import (candidate_bad_primes, critical_height_global,
-                           critical_height_local, splitting_exponent)
+from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
+                       preperiodic_points, superattracting_cycles)
+from .localheights import (critical_height_global, critical_height_local,
+                           splitting_exponent)
 from .places import FIELD_Q, Place, ProjectivePoint, naive_height, radical
 from .qpoly import RatFunc
 
@@ -78,30 +78,10 @@ def _superattracting_normalization(f: Poly, m_max: int = 6) -> tuple[Poly, Fract
         raise DomainError("map has no rational superattracting cycle within the period cap")
     cycle, m = min(cycles, key=lambda cm: cm[1])
     p0 = cycle[0]
-    g = f
+    fq = g = f.as_qpoly()
     for _ in range(m - 1):
-        g = _compose(g, f)
-    return conjugate(g, 1, -p0), p0, m
-
-
-def _compose(f: Poly, g: Poly) -> Poly:
-    """f(g(z)) with exact coefficients."""
-    zero = Fraction(0)
-    acc = [zero]
-    gcoeffs = list(g.coeffs)
-    for c in reversed(f.coeffs):
-        acc = _poly_mul(acc, gcoeffs)
-        acc[0] += c
-    return Poly(acc, f.field)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+        g = g.eval(fq)
+    return conjugate(Poly(g.coeffs), 1, -p0), p0, m
 
 
 def equidistribution_report(f: Poly, T, eps, m0: int,

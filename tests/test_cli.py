@@ -133,14 +133,6 @@ def test_exit_code_undetermined(capsys, tmp_path):
     assert "undetermined" in err
 
 
-def test_threads_env_round_trip(capsys, monkeypatch):
-    monkeypatch.setenv("SPLITRAD_THREADS", "4")
-    code, out, _ = run(capsys, "analyze", "--poly", "z^3 + (1/5)*z^2")
-    assert code == 0
-    data = json.loads(out)
-    assert data["h_crit"]["logs"] == {"3": "1", "5": "1"}
-
-
 def test_format_mismatch_is_domain_error(capsys):
     code, _, err = run(capsys, "analyze", "--poly", "z^2", "--format", "svg")
     assert code == 2 and "emits json" in err

@@ -236,13 +236,6 @@ def test_analyze_profiles():
     assert by_label["5"].g_v == by_label["5"].lambda_crit
 
 
-def test_analyze_workers_deterministic():
-    a1, h1 = analyze(F5, 1e-8, workers=1)
-    a4, h4 = analyze(F5, 1e-8, workers=4)
-    assert [pr.place for pr in a1] == [pr.place for pr in a4]
-    assert h1 == h4
-
-
 # ---------------------------------------------------------------------------
 # canonical heights
 # ---------------------------------------------------------------------------
