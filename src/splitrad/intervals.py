@@ -20,15 +20,26 @@ taylor_enclosures and horner_centered serve both:
 
 A real point stays an Interval: a CBox with a zero imaginary part would cost
 four interval products per product.
+
+Exact-to-float work is done once: the archimedean escape rate encloses the
+map's coefficients once per call (``enclose`` returns an enclosure as is),
+and the invariant-disk search hands horner_centered one dict of Taylor rows
+per search, keyed by the exact centre, so the balls of its radius doubling
+share the rows of a centre.  Interval +, - and * build their results from
+the rounded floats directly; every endpoint is the same as through
+``Interval(lo, hi)``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 _INF = math.inf
+_MAX = sys.float_info.max
+_nextafter = math.nextafter
 
 
 def _up(x: float) -> float:
@@ -41,6 +52,16 @@ def _down(x: float) -> float:
     if x == -_INF or x != x:
         return x
     return math.nextafter(x, -_INF)
+
+
+def _from_floats(lo: float, hi: float) -> "Interval":
+    """Interval(lo, hi) for floats already computed, without __init__'s conversions."""
+    if not lo <= hi:
+        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    x = object.__new__(Interval)
+    x.lo = lo
+    x.hi = hi
+    return x
 
 
 class Interval:
@@ -81,8 +102,8 @@ class Interval:
         q = Fraction(q)
         try:
             f = float(q)  # correctly rounded
-        except OverflowError:
-            return cls(-_INF, _INF) if q < 0 else cls(_INF, _INF) if q > 0 else cls(0.0, 0.0)
+        except OverflowError:  # q rounds beyond the largest float
+            return cls(-_INF, -_MAX) if q < 0 else cls(_MAX, _INF)
         back = Fraction(f) if math.isfinite(f) else None
         if back == q:
             return cls(f, f)
@@ -127,8 +148,10 @@ class Interval:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x) -> bool:
-        if isinstance(x, Fraction):
-            return Fraction(self.lo) <= x <= Fraction(self.hi) if math.isfinite(self.lo) and math.isfinite(self.hi) else (self.lo <= float(x) <= self.hi)
+        if isinstance(x, Fraction):  # exact; an infinite endpoint bounds nothing on its side
+            lo, hi = self.lo, self.hi
+            return ((lo == -_INF or (lo != _INF and Fraction(lo) <= x))
+                    and (hi == _INF or (hi != -_INF and x <= Fraction(hi))))
         return self.lo <= x <= self.hi
 
     def contains_zero(self) -> bool:
@@ -164,14 +187,14 @@ class Interval:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, Interval) else self._coerce(other)
         if o is NotImplemented:
             return o
         if o.lo == 0.0 == o.hi:  # adding exact zero is exact
             return self
         if self.lo == 0.0 == self.hi:
             return o
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        return _from_floats(_nextafter(self.lo + o.lo, -_INF), _nextafter(self.hi + o.hi, _INF))
 
     __radd__ = __add__
 
@@ -179,31 +202,33 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, Interval) else self._coerce(other)
         if o is NotImplemented:
             return o
         if o.lo == 0.0 == o.hi:
             return self
         if self.lo == 0.0 == self.hi:
             return -o
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        return _from_floats(_nextafter(self.lo - o.hi, -_INF), _nextafter(self.hi - o.lo, _INF))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, Interval) else self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.lo == 0.0 == o.hi or self.lo == 0.0 == self.hi:
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if c == 0.0 == d or a == 0.0 == b:
             return Interval.zero()
-        if o.lo == 1.0 == o.hi:
+        if c == 1.0 == d:
             return self
-        if self.lo == 1.0 == self.hi:
+        if a == 1.0 == b:
             return o
-        cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        cands = tuple(0.0 if c != c else c for c in cands)  # 0*inf -> 0 (both factors finite or signed)
-        return Interval(_down(min(cands)), _up(max(cands)))
+        p, q, r, s = a * c, a * d, b * c, b * d
+        if p != p or q != q or r != r or s != s:  # 0*inf -> 0 (both factors finite or signed)
+            p, q, r, s = (0.0 if t != t else t for t in (p, q, r, s))
+        return _from_floats(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
 
     __rmul__ = __mul__
 
@@ -325,9 +350,19 @@ def taylor_enclosures(coeffs, m):
     return cs
 
 
-def horner_centered(coeffs, x):
-    """Evaluate on x via the Taylor form at its midpoint (kills the dependency blowup)."""
+def horner_centered(coeffs, x, rows=None):
+    """Evaluate on x via the Taylor form at its midpoint (kills the dependency blowup).
+
+    ``rows``, if given, is a caller-owned dict from exact midpoints to their
+    Taylor enclosures; calls on balls sharing a midpoint then compute the
+    rows once.  It must only ever see one coefficient list.
+    """
     m = x.mid
     if not cmath.isfinite(m) or x.span == 0.0:
         return horner(coeffs, x)
-    return horner(taylor_enclosures(coeffs, x.point(m)), x - m)
+    if rows is None:
+        return horner(taylor_enclosures(coeffs, x.point(m)), x - m)
+    t = rows.get(m)
+    if t is None:
+        t = rows[m] = taylor_enclosures(coeffs, x.point(m))
+    return horner(t, x - m)

@@ -217,12 +217,14 @@ def _try_invariant(coeffs, Z, max_period: int = 4) -> bool:
         return False
     r = max(Z.span, 1e-9 * (1.0 + abs(mid)))
     limit = 4.0 * (1.0 + abs(mid))
+    # Taylor rows by exact centre: the balls of every radius and their images share a few centres
+    rows = {}
     while r <= limit:
         D = Z.ball(mid, r)
         if D.encloses(Z):
             W = D
             for _ in range(max_period):
-                W = horner_centered(coeffs, W)
+                W = horner_centered(coeffs, W, rows)
                 if D.encloses(W):
                     return True
                 if W.span > 64.0 * r + 64.0:
@@ -240,7 +242,7 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
     c_ad = Interval.log_of_fraction(abs(f.lc)) * Interval.from_fraction(Fraction(1, d - 1))
     log_ad = Interval.log_of_fraction(abs(f.lc))
     overflow_guard = 10.0 ** (250 // d)
-    coeffs = list(f.coeffs)
+    coeffs = [value.enclose(c) for c in f.coeffs]  # once per call, not per evaluation
 
     def candidate(mod: Interval, n: int) -> Interval:
         eps = math.nextafter(ratio_hi / mod.lo, math.inf) if ratio_hi else 0.0
@@ -285,13 +287,17 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
     raise UndeterminedError(f"no archimedean certificate within {maxiter} iterations")
 
 
+def _check_arch_args(f: Poly, tol: float) -> None:
+    if f.field != FIELD_Q:
+        raise DomainError("archimedean escape rates run over Q")
+    if not tol > 0:  # also NaN
+        raise DomainError("tol must be positive")
+
+
 def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
                      maxiter: int = 400) -> LogValue:
     """Certified interval of width <= tol around lambda_infinity(z), or exact 0."""
-    if f.field != FIELD_Q:
-        raise DomainError("archimedean escape rates run over Q")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_arch_args(f, tol)
     z = Fraction(z)
     # exact preperiodicity is certified by Fraction equality
     orbit = [z]
@@ -308,6 +314,7 @@ def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
 def escape_rate_arch_box(f: Poly, box: CBox, tol: float = 1e-9,
                          maxiter: int = 400) -> LogValue:
     """Escape rate over a certified complex enclosure (for irrational critical points)."""
+    _check_arch_args(f, tol)
     return _escape_rate_arch_generic(f, box, tol, 0, maxiter)
 
 
@@ -426,6 +433,7 @@ def critical_height_local(f: Poly, v: Place, tol: float = 1e-9) -> LogValue:
     if f.field != FIELD_Q:
         raise DomainError("critical heights run over Q")
     if v.kind == Place.ARCH:
+        _check_arch_args(f, tol)
         roots, leftovers = critical_points(f)
         lams = [escape_rate_arch(f, r, tol) for r, _ in roots]
         for g in leftovers:

@@ -10,9 +10,11 @@ from splitrad.exact import (DomainError, LogValue, UndeterminedError,
 from splitrad.localheights import (analyze, canonical_height,
                                    critical_height_global,
                                    critical_height_local, escape_exponent,
-                                   escape_rate_arch, escape_rate_nonarch,
+                                   escape_rate_arch, escape_rate_arch_box,
+                                   escape_rate_nonarch,
                                    newton_polygon, splitting_radius)
-from splitrad.places import Place
+from splitrad.intervals import CBox, Interval
+from splitrad.places import FIELD_QT, Place
 from splitrad.qpoly import QPoly
 
 F5 = parse_poly("z^3 + (1/5)*z^2")
@@ -174,6 +176,15 @@ def test_escape_rate_arch_transformation_within_tolerance():
 def test_escape_rate_arch_rejects_bad_tol():
     with pytest.raises(DomainError):
         escape_rate_arch(F5, 1, 0.0)
+    box = CBox(Interval(0.5, 0.75), Interval(0.0, 0.25))
+    for tol in (0, -1e-9, math.nan):
+        with pytest.raises(DomainError):
+            escape_rate_arch_box(F5, box, tol)
+    with pytest.raises(DomainError):  # every critical point irrational
+        critical_height_local(parse_poly("z^3 - (3/7)*z^2 - z - 1"), Place.arch(), 0)
+    qt = parse_poly("z^2 + t*z", FIELD_QT)
+    with pytest.raises(DomainError):
+        escape_rate_arch_box(qt, box)
 
 
 # ---------------------------------------------------------------------------
