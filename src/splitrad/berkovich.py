@@ -11,6 +11,7 @@ cluster relation (distance < splitting radius) requires.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +22,7 @@ from .exact import (DomainError, LogValue, UndeterminedError, is_prime,
 from .dynamics import Poly
 from .localheights import newton_polygon, splitting_exponent
 from .places import FIELD_Q, Place
-from .qpoly import QPoly, lagrange_interpolate
+from .qpoly import QPoly
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +56,6 @@ class DiskChain:
             if not (lo <= m <= hi):
                 return False
         return True
-
-    def radius_logvalue(self, i: int) -> LogValue:
-        return LogValue.from_log(self.p, self.levels[i - 1].t)
 
 
 def _check_chain_preconditions(f: Poly, p: int) -> Fraction:
@@ -533,20 +531,27 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
     return WingClusters(p, d, g, tuple(clusters))
 
 
+def _difference_poly(fq: QPoly) -> QPoly:
+    """Monic prod_{i,j} (x - (a_i - a_j)) over the roots of fq, whose power sums are
+    sum_l C(k,l) (-1)^(k-l) s_l s_(k-l) for the power sums s_l of those roots."""
+    n = fq.degree() ** 2
+    s = fq.power_sums(n)
+    return QPoly.from_power_sums([
+        sum((math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1)),
+            Fraction(0))
+        for k in range(n + 1)])
+
+
 def _close_big_pairs(fq: QPoly, p: int, g: Fraction, small_count: int) -> int:
     """Number of ordered pairs of distinct roots at distance < p^g beyond the small block.
 
-    Reads the multiset of pairwise root differences off the polynomial
-    Res_z(f(z), f(z + x)) in x; differences within the small block account
-    for small_count*(small_count-1) of the sub-p^g entries, the rest are
+    Reads the multiset of pairwise root differences off the difference
+    polynomial; differences within the small block account for
+    small_count*(small_count-1) of the sub-p^g entries, the rest are
     uncertifiable proximities among the outer roots.
     """
     d = fq.degree()
-    pts = []
-    for j in range(d * d + 1):
-        xj = Fraction(j)
-        pts.append((xj, fq.resultant(fq.shift(xj))))
-    diff_poly = lagrange_interpolate(pts)
+    diff_poly = _difference_poly(fq)
     # split off x^ord0: the i = j pairs (and coincident-root pairs)
     ord0 = 0
     cs = list(diff_poly.coeffs)

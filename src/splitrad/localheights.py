@@ -24,7 +24,7 @@ from .dynamics import (Poly, candidate_bad_primes, center, critical_points,
                        escape_exponent)
 from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
-from .qpoly import QPoly, lagrange_interpolate
+from .qpoly import QPoly
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,8 @@ def _try_invariant(coeffs, Z, max_period: int = 4) -> bool:
 
 
 def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
-                              maxiter: int) -> LogValue:
-    """Escape rate from an Interval or CBox enclosure of the starting point."""
+                              maxiter: int, exact_mod: Fraction | None = None) -> LogValue:
+    """Escape rate from an Interval or CBox enclosure of the starting point (|z| if exact)."""
     d = f.degree
     theta_hi, ratio_sum = _arch_threshold(f)
     ratio_hi = math.nextafter(float(ratio_sum), math.inf)
@@ -244,10 +244,10 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
     overflow_guard = 10.0 ** (250 // d)
     coeffs = [value.enclose(c) for c in f.coeffs]  # once per call, not per evaluation
 
-    def candidate(mod: Interval, n: int) -> Interval:
-        eps = math.nextafter(ratio_hi / mod.lo, math.inf) if ratio_hi else 0.0
+    def candidate(U: Interval, n: int, eps: float) -> Interval:
+        """lambda from U containing log|f^n(z)|, with eps >= sum|a_i|/(|a_d||f^n(z)|)."""
         b_tail = math.nextafter(2.0 * eps / (d - 1), math.inf)
-        return ((mod.log() + c_ad + Interval(-b_tail, b_tail))
+        return ((U + c_ad + Interval(-b_tail, b_tail))
                 * Interval.from_fraction(Fraction(1, d ** n)))
 
     Z = value
@@ -256,7 +256,10 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
     for n in range(maxiter + extra_steps + 1):
         mod = Z.modulus()
         if mod.lo >= theta_hi:
-            lam = candidate(mod, n)
+            # an exact start beyond the float range has an unbounded enclosure: take log|z|
+            # from the rational (G(z) = log|z| + log|a_d|/(d-1) + O(1/|z|))
+            U = mod.log() if math.isfinite(mod.hi) else Interval.log_of_fraction(exact_mod)
+            lam = candidate(U, n, math.nextafter(ratio_hi / mod.lo, math.inf) if ratio_hi else 0.0)
             if lam.width <= tol:
                 if escaped_budget <= 0:
                     return LogValue.from_interval(lam)
@@ -264,16 +267,13 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
             if mod.hi >= overflow_guard:
                 # cannot iterate further in floats; finish any remaining
                 # stability steps in log space (the tail here is negligible)
-                U, m = mod.log(), n
                 while escaped_budget > 0:
                     eps = math.nextafter(ratio_hi * math.nextafter(math.exp(-U.lo), math.inf),
                                          math.inf) if ratio_hi else 0.0
                     U = U * d + log_ad + Interval(-2.0 * eps, 2.0 * eps)
-                    m += 1
+                    n += 1
                     escaped_budget -= 1
-                    b_tail = math.nextafter(2.0 * eps / (d - 1), math.inf)
-                    lam = ((U + c_ad + Interval(-b_tail, b_tail))
-                           * Interval.from_fraction(Fraction(1, d ** m)))
+                    lam = candidate(U, n, eps)
                 if lam.width <= tol:
                     return LogValue.from_interval(lam)
                 raise UndeterminedError(
@@ -308,7 +308,8 @@ def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
         if nxt.numerator.bit_length() + nxt.denominator.bit_length() > 2000:
             break
         orbit.append(nxt)
-    return _escape_rate_arch_generic(f, Interval.from_fraction(z), tol, extra_steps, maxiter)
+    return _escape_rate_arch_generic(f, Interval.from_fraction(z), tol, extra_steps, maxiter,
+                                     abs(z))
 
 
 def escape_rate_arch_box(f: Poly, box: CBox, tol: float = 1e-9,
@@ -381,18 +382,20 @@ def _ceval(cs: list[complex], z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _pushforward(h: QPoly, f: Poly) -> QPoly:
-    """Monic polynomial whose roots are f(a) over the roots a of monic h."""
+    """Monic polynomial prod (x - f(a)) over the roots a of h, of degree deg h.
+
+    Its power sums are Tr(f^k mod h) = sum_j (f^k mod h)_j s_j, where s_j are
+    the power sums of the roots of h.
+    """
     m = h.degree()
-    fq = f.as_qpoly()
-    pts = []
-    for j in range(m + 1):
-        xj = Fraction(j)
-        target = QPoly.const(xj) - fq
-        pts.append((xj, h.resultant(target)))
-    out = lagrange_interpolate(pts)
-    if out.degree() != m:
-        raise UndeterminedError("pushforward degenerated (coincident images)")
-    return out.monic()
+    s = h.power_sums(m - 1)
+    fr = f.as_qpoly() % h
+    g = QPoly.const(1)
+    ps = [Fraction(m)]
+    for _ in range(m):
+        g = (g * fr) % h
+        ps.append(sum((c * sj for c, sj in zip(g.coeffs, s)), Fraction(0)))
+    return QPoly.from_power_sums(ps)
 
 
 def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:

@@ -60,9 +60,6 @@ class Place:
     def is_finite(self) -> bool:
         return self.kind in (Place.FINITE, Place.FINITE_POLY)
 
-    def is_nonarchimedean(self) -> bool:
-        return self.kind != Place.ARCH
-
     def weight(self) -> LogValue:
         """N_v: log p over Q, deg pi over Q(t), 1 at t-infinity."""
         if self.kind == Place.FINITE:

@@ -1,7 +1,8 @@
 """Dense univariate polynomials over Q and the rational function field Q(t).
 
-QPoly is the workhorse for everything exact: gcds, squarefree parts,
-resultants, Taylor shifts, Lagrange interpolation.  RatFunc wraps a reduced
+QPoly is the workhorse for everything exact: gcds, squarefree parts, Taylor
+shifts, and power sums of roots (Newton's identities) to build polynomials
+from the images or differences of roots.  RatFunc wraps a reduced
 num/den pair and provides the valuations that make Q(t) a product-formula
 field (finite places = monic irreducibles, plus the degree valuation at
 t = infinity).  Irreducible factorization over Q is delegated to sympy.
@@ -178,29 +179,29 @@ class QPoly:
             k += 1
         return out
 
-    def resultant(self, other: "QPoly") -> Fraction:
-        """Res(self, other) via the Euclidean recursion, exact over Q."""
-        a, b = self, other
-        if a.is_zero() or b.is_zero():
-            return Fraction(0)
-        res = Fraction(1)
-        sign = 1
-        while b.degree() > 0:
-            if a.degree() < b.degree():
-                if (a.degree() * b.degree()) % 2 == 1:
-                    sign = -sign
-                a, b = b, a
-                continue
-            r = a % b
-            if r.is_zero():
-                return Fraction(0)
-            res *= b.lc() ** (a.degree() - r.degree())
-            if (a.degree() * b.degree()) % 2 == 1:
-                sign = -sign
-            a, b = b, r
-        # b is a nonzero constant
-        res *= b.lc() ** a.degree()
-        return sign * res
+    def power_sums(self, n: int) -> list[Fraction]:
+        """[p_0, ..., p_n]: p_k is the sum of the k-th powers of the roots (Newton's identities)."""
+        m = self.degree()
+        a = self.monic().coeffs
+        ps = [Fraction(m)]
+        for k in range(1, n + 1):
+            acc = k * a[m - k] if k <= m else Fraction(0)
+            for i in range(1, min(k - 1, m) + 1):
+                acc += a[m - i] * ps[k - i]
+            ps.append(-acc)
+        return ps
+
+    @classmethod
+    def from_power_sums(cls, ps: list[Fraction]) -> "QPoly":
+        """Monic polynomial of degree len(ps) - 1 whose roots have the power sums ps."""
+        n = len(ps) - 1
+        a = [Fraction(0)] * n + [Fraction(1)]
+        for k in range(1, n + 1):
+            acc = ps[k]
+            for i in range(1, k):
+                acc += a[n - i] * ps[k - i]
+            a[n - k] = -acc / k  # Q has characteristic 0
+        return cls(a)
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicities, by candidate testing + deflation."""
@@ -253,23 +254,6 @@ def _lift(c: Fraction, x):
     if isinstance(x, float):
         return float(c)
     return c
-
-
-def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> QPoly:
-    """Exact polynomial through the given (x, y) pairs with distinct x."""
-    result = QPoly()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = QPoly.const(1)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = basis * QPoly([-xj, 1])
-            denom *= xi - xj
-        result = result + basis * (yi / denom)
-    return result
 
 
 @lru_cache(maxsize=4096)
@@ -357,13 +341,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() <= 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num[0] / self.den[0]
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)

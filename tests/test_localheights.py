@@ -156,6 +156,16 @@ def test_escape_rate_arch_example():
     assert lam.err.overlaps(lam5.err)
 
 
+def test_escape_rate_arch_beyond_float_range():
+    # G(z) = log|z| + log|a_d|/(d-1) + O(1/|z|), and F5 is monic
+    tol = 1e-9
+    for z in (10 ** 400, -10 ** 400):
+        for extra in (0, 3):
+            lam = escape_rate_arch(F5, z, tol, extra_steps=extra)
+            assert lam.err.width <= tol
+            assert lam.err.lo <= 400 * math.log(10) <= lam.err.hi
+
+
 def test_escape_rate_arch_basin_is_exact_zero():
     assert escape_rate_arch(F5, F(1, 10), 1e-8).is_exactly_zero()
     assert escape_rate_arch(F5, F(-2, 15), 1e-8).is_exactly_zero()
