@@ -15,7 +15,8 @@ taylor_enclosures and horner_centered serve both:
   it (a square for CBox), with m a float or a complex number;
 - ``mid`` and ``x - mid``: the midpoint and the translate centred at 0;
 - ``span``: one width measure, the larger side;
-- ``encloses(other)``: containment of another enclosure;
+- ``encloses(other)`` and ``overlaps(other)``: containment of, and a common
+  point with, another enclosure;
 - ``modulus()``: an Interval containing |z| for all z in the enclosure.
 
 A real point stays an Interval: a CBox with a zero imaginary part would cost
@@ -309,6 +310,9 @@ class CBox:
 
     def encloses(self, other: "CBox") -> bool:
         return self.re.encloses(other.re) and self.im.encloses(other.im)
+
+    def overlaps(self, other: "CBox") -> bool:
+        return self.re.overlaps(other.re) and self.im.overlaps(other.im)
 
     def modulus(self) -> Interval:
         """Interval containing |z| for all z in the box."""

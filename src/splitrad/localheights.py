@@ -200,45 +200,82 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
 # archimedean escape rate
 # ---------------------------------------------------------------------------
 
-def _arch_threshold(f: Poly) -> tuple[float, Fraction]:
-    """(float upper bound for Theta, exact ratio sum used in the tail bound)."""
+def _arch_threshold(f: Poly) -> tuple[float, float]:
+    """Float upper bounds for Theta and for the ratio sum sum|a_i|/|a_d| of the tail bound.
+
+    A bound beyond the float range is inf: no finite enclosure then passes
+    the escape test, so only the invariant-disk certificate remains.
+    """
     d = f.degree
     lc = abs(f.lc)
     ratio_sum = sum((abs(f[i]) for i in range(d)), Fraction(0)) / lc
-    th = max(1.0, 2.0 * float(ratio_sum) * (1 + 1e-12),
-             (4.0 / float(lc)) ** (1.0 / (d - 1)) * (1 + 1e-12))
-    return math.nextafter(th, math.inf), ratio_sum
+    try:
+        ratio_hi = math.nextafter(float(ratio_sum), math.inf)
+        th = max(1.0, 2.0 * float(ratio_sum) * (1 + 1e-12),
+                 (4.0 / float(lc)) ** (1.0 / (d - 1)) * (1 + 1e-12))
+    except (OverflowError, ZeroDivisionError):  # ratio_sum or 1/|a_d| beyond the float range
+        return math.inf, math.inf
+    return math.nextafter(th, math.inf), ratio_hi
 
 
-def _try_invariant(coeffs, Z, max_period: int = 4) -> bool:
-    """Search for a ball D containing Z with f^j(D) inside D for some j <= max_period."""
+def _point_orbit(coeffs, P, n: int) -> list:
+    """Enclosures of f(P), ..., f^n(P), cut before the first unbounded or unformable one."""
+    orbit = []
+    try:
+        for _ in range(n):
+            P = horner(coeffs, P)
+            if not math.isfinite(P.span):
+                break
+            orbit.append(P)
+    except (ValueError, OverflowError):
+        pass
+    return orbit
+
+
+def _try_invariant(coeffs, Z, max_period: int = 4) -> tuple[float, int] | None:
+    """Search for a ball D containing Z with f^j(D) inside D for some j <= max_period.
+
+    Returns the certificate (r, j) of the first such ball D = Z.ball(mid, r),
+    or None.  D runs over the radii r0 * 2^k, and W_j encloses f^j(D).
+    The point orbit P_j, enclosures of f^j(mid), is computed once per call and
+    prunes the W-loop exactly: mid lies in D, so f^j(mid) lies in W_j, and if
+    P_j misses D then so does f^j(mid), and W_j is not inside D.  A radius
+    therefore iterates only up to the last j whose P_j meets D, and is skipped
+    when there is none; every radius answers as the full loop would, so the
+    same first radius succeeds.  If some P_j is unbounded or cannot be formed,
+    no radius is pruned: that j and every later one may meet D.
+    """
     mid = Z.mid
     if not cmath.isfinite(mid):
-        return False
+        return None
     r = max(Z.span, 1e-9 * (1.0 + abs(mid)))
     limit = 4.0 * (1.0 + abs(mid))
+    orbit = _point_orbit(coeffs, Z.point(mid), max_period)
     # Taylor rows by exact centre: the balls of every radius and their images share a few centres
     rows = {}
     while r <= limit:
         D = Z.ball(mid, r)
         if D.encloses(Z):
+            reach = max_period
+            if len(orbit) == max_period:
+                while reach and not orbit[reach - 1].overlaps(D):
+                    reach -= 1
             W = D
-            for _ in range(max_period):
+            for j in range(1, reach + 1):
                 W = horner_centered(coeffs, W, rows)
                 if D.encloses(W):
-                    return True
+                    return r, j
                 if W.span > 64.0 * r + 64.0:
                     break
         r *= 2.0
-    return False
+    return None
 
 
 def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
                               maxiter: int, exact_mod: Fraction | None = None) -> LogValue:
     """Escape rate from an Interval or CBox enclosure of the starting point (|z| if exact)."""
     d = f.degree
-    theta_hi, ratio_sum = _arch_threshold(f)
-    ratio_hi = math.nextafter(float(ratio_sum), math.inf)
+    theta_hi, ratio_hi = _arch_threshold(f)
     c_ad = Interval.log_of_fraction(abs(f.lc)) * Interval.from_fraction(Fraction(1, d - 1))
     log_ad = Interval.log_of_fraction(abs(f.lc))
     overflow_guard = 10.0 ** (250 // d)
@@ -278,11 +315,13 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
                     return LogValue.from_interval(lam)
                 raise UndeterminedError(
                     f"archimedean enclosure plateaued at width {lam.width:.3g} > tol {tol:.3g}")
-        elif _try_invariant(coeffs, Z):
+        elif _try_invariant(coeffs, Z) is not None:
             return LogValue.zero()
         Z = horner_centered(coeffs, Z)
         w, scale = Z.span, max(1.0, Z.modulus().lo)
         if not math.isfinite(w) or w > 1e-3 * scale:
+            if theta_hi == math.inf:
+                raise UndeterminedError("archimedean escape radius lies beyond the float range")
             raise UndeterminedError("archimedean interval iteration lost precision")
     raise UndeterminedError(f"no archimedean certificate within {maxiter} iterations")
 
@@ -333,7 +372,11 @@ def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
     if n < 1:
         return []
     gm = g.monic()
-    cs = [complex(c) for c in gm.coeffs]
+    try:
+        cs = [complex(c) for c in gm.coeffs]
+    except OverflowError:
+        raise UndeterminedError("cannot locate complex critical points: "
+                                "a coefficient lies beyond the float range") from None
     radius = 1.0 + max(abs(c) for c in cs[:-1]) if n >= 1 else 1.0
     ws = [radius * (0.4 + 0.9j) ** (k + 1) for k in range(n)]
     for _ in range(refine):

@@ -18,6 +18,7 @@ from .berkovich import (annulus_mass, annulus_membership_in_chain,
                         AnnulusPosition, inner_disk_chain, wing_clusters)
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
                        preperiodic_points, superattracting_cycles)
+from .intervals import Interval
 from .localheights import (critical_height_global, critical_height_local,
                            splitting_exponent)
 from .places import FIELD_Q, Place, ProjectivePoint, naive_height, radical
@@ -54,7 +55,7 @@ class EquidistributionReport:
     eps: Fraction
     m0: int
     places: tuple[PlaceReport, ...]
-    achieved_delta: Fraction | None
+    achieved_delta: Fraction | Interval | None  # an Interval when the ratio is irrational
     passing_weight: LogValue
     total_weight: LogValue
 
@@ -64,8 +65,7 @@ class EquidistributionReport:
             "eps": str(self.eps),
             "m0": self.m0,
             "places": [p.to_json() for p in self.places],
-            "achieved_delta": (str(self.achieved_delta)
-                               if self.achieved_delta is not None else None),
+            "achieved_delta": _ratio_json(self.achieved_delta),
             "passing_weight": self.passing_weight.to_json(),
             "total_weight": self.total_weight.to_json(),
         }
@@ -143,18 +143,44 @@ def equidistribution_report(f: Poly, T, eps, m0: int,
     return EquidistributionReport(n, eps, m0, tuple(reports), delta, passing, total)
 
 
-def _weight_ratio(num: LogValue, den: LogValue) -> Fraction | None:
+def _weight_ratio(num: LogValue, den: LogValue) -> Fraction | Interval | None:
+    """num/den: a Fraction when the ratio is rational, else a certified Interval.
+
+    1 and the log p are linearly independent over Q (Lindemann and unique
+    factorization), so the ratio of two exact LogValues is rational exactly
+    when num is a rational multiple of den term by term.
+    """
     if den.is_exactly_zero():
         return None
     if num.is_exactly_zero():
         return Fraction(0)
-    if num.formal_equal(den) and num.err == den.err:
-        return Fraction(1)
-    if (len(num.logs) == 1 and len(den.logs) == 1 and not num.const and not den.const
-            and next(iter(num.logs)) == next(iter(den.logs))):
-        return next(iter(num.logs.values())) / next(iter(den.logs.values()))
-    iv = num.to_interval() / den.to_interval()
-    return Fraction(iv.mid).limit_denominator(10 ** 12)
+    if num.is_exact() and den.is_exact():
+        tn, td = _terms(num), _terms(den)
+        if tn.keys() == td.keys():
+            k = next(iter(td))
+            c = tn[k] / td[k]
+            if all(tn[j] == c * td[j] for j in td):
+                return c
+    return num.to_interval() / den.to_interval()
+
+
+def _terms(v: LogValue) -> dict:
+    """The formal part of v by term: prime p for q*log(p), 0 for the constant."""
+    return {**v.logs, 0: v.const} if v.const else v.logs
+
+
+def _ratio_json(r: Fraction | Interval | None):
+    """The exact rational as a string, or a certified interval as {"interval": [lo, hi]}."""
+    if isinstance(r, Interval):
+        return {"interval": [r.lo, r.hi]}
+    return None if r is None else str(r)
+
+
+def _ratio_text(r: Fraction | Interval | None) -> str:
+    """A ratio as a CSV cell: the exact rational, or "interval [lo, hi]"."""
+    if isinstance(r, Interval):
+        return f"interval [{r.lo!r}, {r.hi!r}]"
+    return "" if r is None else str(r)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +398,7 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
             skips.append((label, f"certificate failure: {e}"))
             continue
         verdicts = ";".join(f"{pr.place.label()}:{pr.verdict}" for pr in report.places)
-        delta = str(report.achieved_delta) if report.achieved_delta is not None else ""
+        delta = _ratio_text(report.achieved_delta)
         base = {
             "family_param": label,
             "h_crit": repr(hc),

@@ -1,4 +1,5 @@
 import json
+import math
 
 from splitrad.cli import main
 
@@ -73,6 +74,20 @@ def test_equidistribution_cli(capsys):
     data = json.loads(out)
     assert data["places"][0]["verdict"] is False
     assert data["achieved_delta"] == "0"
+
+
+def test_equidistribution_cli_irrational_delta(capsys):
+    code, out, _ = run(capsys, "equidistribution", "--poly", "z^3 + (1/35)*z^2",
+                       "--points=0,-1/35,1/5,2", "--eps", "1/2", "--m0", "1")
+    assert code == 0
+    lo, hi = json.loads(out)["achieved_delta"]["interval"]  # log 5 / log 35
+    assert lo <= math.log(5) / math.log(35) <= hi
+
+
+def test_escape_radius_beyond_float_range_exits_3(capsys):
+    code, out, err = run(capsys, "canonical-height", "--poly", "z^2 + 10^400", "--point", "1")
+    assert code == 3 and out == ""
+    assert "escape radius lies beyond the float range" in err
 
 
 def test_abc_quality_cli(capsys):

@@ -166,6 +166,19 @@ def test_escape_rate_arch_beyond_float_range():
             assert lam.err.lo <= 400 * math.log(10) <= lam.err.hi
 
 
+def test_escape_radius_beyond_float_range_gives_up_with_a_reason():
+    # Theta >= 2 sum|a_i|/|a_d| is 2*10^400 here: no float enclosure reaches it
+    for text, z in (("z^2 + 10^400", 1), ("(10^-400)*z^2 + z", 10 ** 500)):
+        with pytest.raises(UndeterminedError, match="escape radius lies beyond the float range"):
+            escape_rate_arch(parse_poly(text), z)
+    with pytest.raises(UndeterminedError, match="float range"):
+        canonical_height(parse_poly("z^2 + 10^400"), 1)
+    with pytest.raises(UndeterminedError, match="float range"):  # irrational critical points
+        critical_height_local(parse_poly("z^3 + 2^1030*z"), Place.arch())
+    # the invariant-disk certificate needs no escape radius: 1/3 lies in the basin of 0
+    assert escape_rate_arch(parse_poly("(10^-400)*z^3 + (1/2)*z"), F(1, 3)).is_exactly_zero()
+
+
 def test_escape_rate_arch_basin_is_exact_zero():
     assert escape_rate_arch(F5, F(1, 10), 1e-8).is_exactly_zero()
     assert escape_rate_arch(F5, F(-2, 15), 1e-8).is_exactly_zero()

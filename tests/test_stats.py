@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,12 +6,14 @@ import pytest
 
 from splitrad.dynamics import parse_poly
 from splitrad.exact import DomainError, LogValue
+from splitrad.intervals import Interval
 from splitrad.localheights import critical_height_global
 from splitrad.places import FIELD_QT
 from splitrad.qpoly import QPoly, RatFunc
 from splitrad.stats import (AbcTriple, abc_quality, epsilon_good_fraction,
                             epsilon_good_sum, equidistribution_report,
                             pair_moment, rows_to_csv, theorem_experiment)
+from splitrad.stats import _ratio_text, _weight_ratio
 
 F5 = parse_poly("z^3 + (1/5)*z^2")
 PCF = parse_poly("-(2/9)*z^3 - z^2")
@@ -80,6 +83,33 @@ def test_report_period_two_cycle():
     assert pr.annulus_mass == F(14, 81)
     assert pr.verdict is True
     assert rep.achieved_delta == 1
+
+
+def test_irrational_weight_ratio_is_a_labelled_interval():
+    # lambda_crit is log 5 at the passing place 5 and log 7 at the failing 7
+    rep = equidistribution_report(parse_poly("z^3 + (1/35)*z^2"), [0, F(-1, 35), F(1, 5), 2],
+                                  F(1, 2), 1)
+    delta = rep.achieved_delta
+    assert isinstance(delta, Interval)
+    assert delta.lo <= math.log(5) / math.log(35) <= delta.hi and delta.width < 1e-12
+    assert rep.to_json()["achieved_delta"] == {"interval": [delta.lo, delta.hi]}
+    assert _ratio_text(delta) == f"interval [{delta.lo!r}, {delta.hi!r}]"
+
+
+def test_weight_ratio_is_exact_only_when_rational():
+    log = LogValue.from_log
+    assert _weight_ratio(log(5, 2), log(5, 3)) == F(2, 3)
+    assert _weight_ratio(log(2, 1) + log(3, 1), log(2, 2) + log(3, 2)) == F(1, 2)
+    assert _weight_ratio(LogValue(F(1, 2), {7: 1}), LogValue(1, {7: 2})) == F(1, 2)
+    assert _weight_ratio(LogValue.zero(), log(5, 1)) == 0
+    assert _weight_ratio(log(5, 1), LogValue.zero()) is None
+    # not proportional term by term, or not exact: an enclosure of the true ratio
+    for num, den, true in ((log(5, 1), log(7, 1), math.log(5) / math.log(7)),
+                           (LogValue(1, {2: 1}), LogValue(2, {2: 1}), (1 + math.log(2)) / (2 + math.log(2))),
+                           (log(2, 1), LogValue(err=Interval(1.0, 1.0)) + log(2, 1), math.log(2) / (1 + math.log(2)))):
+        ratio = _weight_ratio(num, den)
+        assert isinstance(ratio, Interval) and ratio.lo <= true <= ratio.hi
+    assert _ratio_text(F(2, 3)) == "2/3" and _ratio_text(None) == ""
 
 
 def test_report_rejects_maps_without_superattracting_cycle():
