@@ -82,43 +82,33 @@ def is_prime(n: int) -> bool:
     return not any(_mr_witness(n, rng.randrange(2, n - 1)) for _ in range(32))
 
 
-_RHO_STEPS = 10 ** 5  # per factorize call; a prime factor p takes about sqrt(p) steps
-
-
-def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
-    """(a nontrivial factor of composite n, steps used); the factor is 0 if none
-    turned up within ``steps`` steps (Floyd's cycle detection)."""
-    used = 0
-    while used < steps:
+def _pollard_rho(n: int, rng: random.Random) -> int:
+    """A nontrivial factor of composite n (Brent's cycle variant)."""
+    while True:
         c = rng.randrange(1, n)
         x = rng.randrange(0, n)
         y, d, q = x, 1, 1
         count = 0
-        while d == 1 and used < steps:
+        while d == 1:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             q = q * abs(x - y) % n
             count += 1
-            used += 1
             if q == 0:
                 d = math.gcd(abs(x - y), n)
                 break
-            if count % 64 == 0 or used == steps:
+            if count % 64 == 0:
                 d = math.gcd(q, n)
         if 1 < d < n:
-            return d, used
-    return 0, used
+            return d
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of |n| as [(p, e), ...] with p strictly increasing.
 
-    Trial division up to 10^6, then Pollard rho with a fixed seed and a
-    budget of _RHO_STEPS steps per call, which finds prime factors up to
-    about 10^9 with room to spare; beyond the budget it raises
-    UndeterminedError.  Primality of cofactors is certified by Miller-Rabin
-    as in is_prime.
+    Trial division up to 10^6, then Pollard rho with a fixed seed; primality
+    of cofactors is certified by Miller-Rabin as in is_prime.
     """
     if n == 0:
         raise DomainError("factorize(0) is undefined")
@@ -132,19 +122,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
             n //= p
     if n > 1:
         rng = random.Random(0xFAC70)
-        steps = _RHO_STEPS
         stack = [n]
         while stack:
             m = stack.pop()
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
-            d, used = _pollard_rho(m, rng, steps)
-            steps -= used
-            if not d:
-                raise UndeterminedError(
-                    f"factorization budget of {_RHO_STEPS} Pollard rho steps spent on a "
-                    f"{len(str(m))}-digit composite cofactor")
+            d = _pollard_rho(m, rng)
             stack.append(d)
             stack.append(m // d)
     return sorted(out.items())

@@ -203,8 +203,9 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
 def _arch_threshold(f: Poly) -> tuple[float, float]:
     """Float upper bounds for Theta and for the ratio sum sum|a_i|/|a_d| of the tail bound.
 
-    A bound beyond the float range is inf: no finite enclosure then passes
-    the escape test, so only the invariant-disk certificate remains.
+    When a coefficient or a bound lies beyond the float range both are inf:
+    no finite enclosure then passes the escape test, so only the
+    invariant-disk certificate remains.
     """
     d = f.degree
     lc = abs(f.lc)
@@ -213,7 +214,7 @@ def _arch_threshold(f: Poly) -> tuple[float, float]:
         ratio_hi = math.nextafter(float(ratio_sum), math.inf)
         th = max(1.0, 2.0 * float(ratio_sum) * (1 + 1e-12),
                  (4.0 / float(lc)) ** (1.0 / (d - 1)) * (1 + 1e-12))
-    except (OverflowError, ZeroDivisionError):  # ratio_sum or 1/|a_d| beyond the float range
+    except (OverflowError, ZeroDivisionError):  # |a_d|, ratio_sum or 1/|a_d| beyond the float range
         return math.inf, math.inf
     return math.nextafter(th, math.inf), ratio_hi
 
@@ -321,7 +322,8 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
         w, scale = Z.span, max(1.0, Z.modulus().lo)
         if not math.isfinite(w) or w > 1e-3 * scale:
             if theta_hi == math.inf:
-                raise UndeterminedError("archimedean escape radius lies beyond the float range")
+                raise UndeterminedError(
+                    "archimedean escape: a coefficient or the escape radius lies beyond the float range")
             raise UndeterminedError("archimedean interval iteration lost precision")
     raise UndeterminedError(f"no archimedean certificate within {maxiter} iterations")
 

@@ -8,6 +8,7 @@ over Q(t) is pure rational arithmetic on degrees.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,18 +156,11 @@ def _weight_ratio(num: LogValue, den: LogValue) -> Fraction | Interval | None:
     if num.is_exactly_zero():
         return Fraction(0)
     if num.is_exact() and den.is_exact():
-        tn, td = _terms(num), _terms(den)
-        if tn.keys() == td.keys():
-            k = next(iter(td))
-            c = tn[k] / td[k]
-            if all(tn[j] == c * td[j] for j in td):
-                return c
+        k = next(iter(den.logs), None)  # any one term of den fixes the only candidate
+        c = num.const / den.const if k is None else num.logs.get(k, 0) / den.logs[k]
+        if (den * c).formal_equal(num):
+            return c
     return num.to_interval() / den.to_interval()
-
-
-def _terms(v: LogValue) -> dict:
-    """The formal part of v by term: prime p for q*log(p), 0 for the constant."""
-    return {**v.logs, 0: v.const} if v.const else v.logs
 
 
 def _ratio_json(r: Fraction | Interval | None):
@@ -174,13 +168,6 @@ def _ratio_json(r: Fraction | Interval | None):
     if isinstance(r, Interval):
         return {"interval": [r.lo, r.hi]}
     return None if r is None else str(r)
-
-
-def _ratio_text(r: Fraction | Interval | None) -> str:
-    """A ratio as a CSV cell: the exact rational, or "interval [lo, hi]"."""
-    if isinstance(r, Interval):
-        return f"interval [{r.lo!r}, {r.hi!r}]"
-    return "" if r is None else str(r)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +385,12 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
             skips.append((label, f"certificate failure: {e}"))
             continue
         verdicts = ";".join(f"{pr.place.label()}:{pr.verdict}" for pr in report.places)
-        delta = _ratio_text(report.achieved_delta)
+        delta = _ratio_json(report.achieved_delta)
         base = {
             "family_param": label,
             "h_crit": repr(hc),
             "n_preperiodic": len(preper),
-            "achieved_delta": delta,
+            "achieved_delta": json.dumps(delta) if isinstance(delta, dict) else delta or "",
             "verdicts": verdicts,
         }
         nonzero = [pp.value for pp in preper if pp.value != 0]

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from splitrad.exact import (DomainError, INFINITY, LogValue, UndeterminedError,
-                            factorize, is_prime, valuation)
+from splitrad.exact import (DomainError, INFINITY, LogValue, factorize,
+                            is_prime, valuation)
 from splitrad.intervals import Interval
 from splitrad.places import Place, local_abs_log
 
@@ -51,15 +51,6 @@ def test_factorize_reconstructs_and_sorted():
 def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * q) == [(p, 1), (q, 1)]
-
-
-def test_factorize_budget():
-    # prime factors near 10^9 and 2^31 still split within the Pollard rho budget
-    assert factorize((10 ** 9 + 7) * (10 ** 9 + 9)) == [(10 ** 9 + 7, 1), (10 ** 9 + 9, 1)]
-    assert factorize((2 ** 31 - 1) ** 2 * 3) == [(3, 1), (2 ** 31 - 1, 2)]
-    # two 22-digit primes: far beyond it, so the factorization gives up
-    with pytest.raises(UndeterminedError, match="43-digit composite cofactor"):
-        factorize(1363207022007618229513 * 6461268401936304196771)
 
 
 def test_is_prime_spots():

@@ -167,9 +167,11 @@ def test_escape_rate_arch_beyond_float_range():
 
 
 def test_escape_radius_beyond_float_range_gives_up_with_a_reason():
-    # Theta >= 2 sum|a_i|/|a_d| is 2*10^400 here: no float enclosure reaches it
-    for text, z in (("z^2 + 10^400", 1), ("(10^-400)*z^2 + z", 10 ** 500)):
-        with pytest.raises(UndeterminedError, match="escape radius lies beyond the float range"):
+    # Theta >= 2 sum|a_i|/|a_d| is 2*10^400 in the first two: no float enclosure reaches it;
+    # in the third Theta is about 1, but |a_d| = 10^400 itself has no float
+    for text, z in (("z^2 + 10^400", 1), ("(10^-400)*z^2 + z", 10 ** 500), ("10^400*z^2 + 1", 1)):
+        with pytest.raises(UndeterminedError,
+                           match="a coefficient or the escape radius lies beyond the float range"):
             escape_rate_arch(parse_poly(text), z)
     with pytest.raises(UndeterminedError, match="float range"):
         canonical_height(parse_poly("z^2 + 10^400"), 1)

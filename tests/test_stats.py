@@ -13,7 +13,8 @@ from splitrad.qpoly import QPoly, RatFunc
 from splitrad.stats import (AbcTriple, abc_quality, epsilon_good_fraction,
                             epsilon_good_sum, equidistribution_report,
                             pair_moment, rows_to_csv, theorem_experiment)
-from splitrad.stats import _ratio_text, _weight_ratio
+import splitrad.stats
+from splitrad.stats import _weight_ratio
 
 F5 = parse_poly("z^3 + (1/5)*z^2")
 PCF = parse_poly("-(2/9)*z^3 - z^2")
@@ -93,7 +94,13 @@ def test_irrational_weight_ratio_is_a_labelled_interval():
     assert isinstance(delta, Interval)
     assert delta.lo <= math.log(5) / math.log(35) <= delta.hi and delta.width < 1e-12
     assert rep.to_json()["achieved_delta"] == {"interval": [delta.lo, delta.hi]}
-    assert _ratio_text(delta) == f"interval [{delta.lo!r}, {delta.hi!r}]"
+
+
+def test_experiment_writes_an_irrational_delta_as_its_json(monkeypatch):
+    delta = Interval(0.25, 0.5)
+    monkeypatch.setattr(splitrad.stats, "_weight_ratio", lambda num, den: delta)
+    rows, _ = theorem_experiment("z^3 + (1/a)*z^2", "a", [35])
+    assert rows and all(r["achieved_delta"] == '{"interval": [0.25, 0.5]}' for r in rows)
 
 
 def test_weight_ratio_is_exact_only_when_rational():
@@ -109,7 +116,6 @@ def test_weight_ratio_is_exact_only_when_rational():
                            (log(2, 1), LogValue(err=Interval(1.0, 1.0)) + log(2, 1), math.log(2) / (1 + math.log(2)))):
         ratio = _weight_ratio(num, den)
         assert isinstance(ratio, Interval) and ratio.lo <= true <= ratio.hi
-    assert _ratio_text(F(2, 3)) == "2/3" and _ratio_text(None) == ""
 
 
 def test_report_rejects_maps_without_superattracting_cycle():
