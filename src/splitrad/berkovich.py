@@ -7,6 +7,14 @@ Fraction denominators.  The inner chain solves the Gauss-norm equation
 sup_{|z|=p^t} |f(z)|_p = p^{max_i(i t - v_p(a_i))} exactly; wing clusters
 are resolved one residue digit deep, which is exactly the resolution the
 cluster relation (distance < splitting radius) requires.
+
+Three facts keep the wing clusters to one assembly.  The Newton polygon of
+f counts the roots below and at size p^g.  For fractional g the roots of
+size p^g are simple once no two of them are closer than p^g, since a
+repeated root is a pair at distance 0.  For integer g the squarefree
+decomposition mod p orders its pieces by multiplicity alone, so reading
+residue and extension clusters piece by piece keeps their order.  Roots mod
+p come from Cantor-Zassenhaus (Math. Comp. 36, 1981) for every p.
 """
 
 from __future__ import annotations
@@ -173,44 +181,35 @@ def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _fp_trim(out)
 
 
-def _fp_mod(a: list[int], b: list[int], p: int) -> list[int]:
+def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    return _fp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+                     for i in range(n)])
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by a nonzero b over F_p."""
     a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv % p
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] * inv % p
+        quot[k] = c
         if c:
-            off = len(a) - 1 - db
             for j, y in enumerate(b):
-                a[off + j] = (a[off + j] - c * y) % p
-        a.pop()
-    return _fp_trim(a)
+                a[k + j] = (a[k + j] - c * y) % p
+    return _fp_trim(quot), _fp_trim(a[:db])
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _fp_trim(a[:]), _fp_trim(b[:])
     while b:
-        a, b = b, _fp_mod(a, b, p)
+        a, b = b, _fp_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
     return a
-
-
-def _fp_div(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) - len(b) + 1)
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv % p
-        out[len(a) - 1 - db] = c
-        if c:
-            off = len(a) - 1 - db
-            for j, y in enumerate(b):
-                a[off + j] = (a[off + j] - c * y) % p
-        a.pop()
-    return _fp_trim(out)
 
 
 def _fp_derivative(a: list[int], p: int) -> list[int]:
@@ -219,17 +218,22 @@ def _fp_derivative(a: list[int], p: int) -> list[int]:
 
 def _fp_pow(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _fp_mod(a[:], mod, p)
+    base = _fp_divmod(a, mod, p)[1]
     while e:
         if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), mod, p)
-        base = _fp_mod(_fp_mul(base, base, p), mod, p)
+            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
 
 def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
-    """[(squarefree factor, multiplicity)] over F_p, handling p-th powers."""
+    """[(monic squarefree factor, multiplicity)] over F_p, handling p-th powers.
+
+    The multiplicities are distinct, and the order of the pieces depends on
+    their multiplicities alone: those prime to p ascending, then (recursively)
+    the multiples of p.
+    """
     a = a[:]
     if len(a) - 1 < 1:
         return []
@@ -241,15 +245,15 @@ def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
         return [(q, m * p) for q, m in _fp_squarefree(u, p)]
     out: list[tuple[list[int], int]] = []
     g = _fp_gcd(a, da, p)
-    b = _fp_div(a, g, p)
+    b = _fp_divmod(a, g, p)[0]
     m = 1
     while len(b) - 1 >= 1:
         c = _fp_gcd(b, g, p)
-        piece = _fp_div(b, c, p)
+        piece = _fp_divmod(b, c, p)[0]
         if len(piece) - 1 >= 1:
             out.append((piece, m))
         b = c
-        g = _fp_div(g, c, p)
+        g = _fp_divmod(g, c, p)[0]
         m += 1
     if len(g) - 1 >= 1:  # leftover p-th power part
         u = _fp_trim(g[::p])
@@ -257,74 +261,29 @@ def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _fp_roots(a: list[int], p: int, rng_seed: int = 0x526F) -> list[int]:
-    """Distinct roots in F_p of a nonzero polynomial."""
-    a = _fp_trim(a[:])
-    if len(a) - 1 < 1:
-        return []
-    # restrict to the product of the linear factors
-    xq = _fp_pow([0, 1], p, a, p)  # x^p mod a
-    lin = _fp_gcd(_fp_sub(xq, [0, 1], p), a, p)
-    deg = len(lin) - 1
-    if deg <= 0:
-        return []
-    if p <= 100_000:
-        return [r for r in range(p) if _fp_eval(lin, r, p) == 0]
-    # Cantor-Zassenhaus splitting into linear factors, deterministic seed
-    rng = random.Random(rng_seed)
+def _fp_roots(a: list[int], p: int) -> list[int]:
+    """Sorted distinct roots in F_p of a nonzero a with a(0) != 0 (Cantor-Zassenhaus).
+
+    gcd(x^p - x, a) is the product of the linear factors; random splits by
+    (x + c)^((p-1)/2) - 1 separate them.  That split needs odd p, and at
+    p = 2 none is needed: with a(0) != 0 the only candidate root is 1.
+    """
+    lin = _fp_gcd(_fp_sub(_fp_pow([0, 1], p, a, p), [0, 1], p), a, p)
+    rng = random.Random(0x526F)
     out: list[int] = []
     stack = [lin]
     while stack:
-        h = stack.pop()
-        dh = len(h) - 1
-        if dh == 0:
-            continue
-        if dh == 1:
-            out.append((-h[0] * pow(h[1], -1, p)) % p)
-            continue
-        while True:
-            aa = [rng.randrange(p), 1]
-            t = _fp_pow(aa, (p - 1) // 2, h, p)
-            t = _fp_sub(t, [1], p)
-            g = _fp_gcd(t, h, p)
-            if 0 < len(g) - 1 < dh:
-                stack.append(g)
-                stack.append(_fp_div(h, g, p))
-                break
+        h = stack.pop()  # monic
+        if len(h) == 2:
+            out.append(-h[0] % p)
+        elif len(h) > 2:
+            while True:
+                t = _fp_sub(_fp_pow([rng.randrange(p), 1], (p - 1) // 2, h, p), [1], p)
+                s = _fp_gcd(t, h, p)
+                if 1 < len(s) < len(h):
+                    stack += [s, _fp_divmod(h, s, p)[0]]
+                    break
     return sorted(out)
-
-
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
-
-
-def _fp_eval(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _fp_distinct_degree(a: list[int], p: int) -> list[tuple[int, int]]:
-    """[(e, total degree of the degree-e part)] for squarefree monic a."""
-    out = []
-    h = a[:]
-    e = 0
-    x_power = _fp_mod([0, 1], h, p)
-    while len(h) - 1 >= 1:
-        e += 1
-        if len(h) - 1 < 2 * e:  # remainder is a single irreducible
-            out.append((len(h) - 1, len(h) - 1))
-            break
-        x_power = _fp_pow(x_power, p, h, p)
-        g = _fp_gcd(_fp_sub(x_power, [0, 1], p), h, p)
-        if len(g) - 1 >= 1:
-            out.append((e, len(g) - 1))
-            h = _fp_div(h, g, p)
-            x_power = _fp_mod(x_power, h, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +317,6 @@ class WingClusters:
 
     def cross_distance(self) -> LogValue:
         return LogValue.from_log(self.p, self.g)
-
-    def masses(self) -> list[Fraction]:
-        return [c.mass for c in self.clusters]
 
     def locate(self, f: Poly, z) -> int | None:
         """Index of the cluster whose level-1 component contains z, else None."""
@@ -424,107 +380,72 @@ def _mod_reduce(x: Fraction, p: int) -> int:
 def wing_clusters(f: Poly, p: int) -> WingClusters:
     """Clusters of the level-1 preimage components, by the relation distance < g_v.
 
-    Roots of size < p^g all fall in the cluster of the superattracting point;
-    roots of size exactly p^g cluster by their first p-adic digit, read off
-    the mod-p reduction of f(p^g w) (integer g), so no deep Hensel lifting is
-    ever required.  Masses are exact root counts over d.
+    Roots of size < p^g all fall in the cluster of the superattracting point.
+    Roots of size exactly p^g cluster by their first p-adic digit:
+    - integer g: read off the mod-p reduction of f(p^g w) with its small-root
+      part w^m0 removed.  One squarefree pass splits the rest into pieces of
+      one multiplicity each; a piece's F_p roots are residue clusters and its
+      other roots (extension residues) are centre-less clusters, each holding
+      that multiplicity.  Residue clusters come sorted by residue, centre-less
+      ones in the order of the pieces, which depends on multiplicity alone.
+    - fractional g: the Newton polygon of f counts the small roots and the
+      size-p^g roots, which are all irrational.  Once the difference
+      polynomial shows no two of them closer than p^g, none is repeated (a
+      repeated root is a pair at distance 0), so each is its own cluster.
+    No deep Hensel lifting is ever required.  Masses are exact root counts over d.
     """
     g = _check_chain_preconditions(f, p)
     d = f.degree
     fq = f.as_qpoly()
     rational = fq.rational_roots()
+    if any(r != 0 and Fraction(-valuation(r, p)) > g for r, _ in rational):
+        raise UndeterminedError("rational root outside the splitting disk; inconsistent data")
     small_members = [(r, m) for r, m in rational if r == 0 or Fraction(-valuation(r, p)) < g]
     big_members = [(r, m) for r, m in rational if r != 0 and Fraction(-valuation(r, p)) == g]
-    oversized = [r for r, _ in rational if r != 0 and Fraction(-valuation(r, p)) > g]
-    if oversized:
-        raise UndeterminedError("rational root outside the splitting disk; inconsistent data")
-
-    residual = fq.monic()
-    for r, m in rational:
-        residual = residual.exact_div(QPoly([-r, 1]) ** m)
-
-    clusters: list[WingCluster] = []
+    residues: list[tuple[int, int]] = []  # (F_p residue of p^g * root, count)
+    outer: list[int] = []                 # counts of the centre-less clusters
 
     if g.denominator == 1:
         # one digit of precision: substitute w = p^g z (so the outermost roots
         # become units), reduce mod p, and read residues
-        gi = int(g)
-        scaled = [f[j] * Fraction(p) ** (-gi * j) for j in range(d + 1)]
+        scaled = [f[j] * Fraction(p) ** (-int(g) * j) for j in range(d + 1)]
         vmin = min(valuation(c, p) for c in scaled if c != 0)
-        ints = [c / Fraction(p) ** vmin for c in scaled]
-        hbar = _fp_trim([_mod_reduce(c, p) for c in ints])
+        hbar = _fp_trim([_mod_reduce(c / Fraction(p) ** vmin, p) for c in scaled])
         if len(hbar) - 1 != d:
             raise UndeterminedError("scaled reduction degenerated; root outside splitting disk")
-        m0 = next(i for i, c in enumerate(hbar) if c != 0)
-        small_count = m0
-        rest = hbar[m0:]
-        residue_counts: dict[int, int] = {}
-        for r in _fp_roots(rest, p):
-            if r == 0:
-                continue
-            mult = 0
-            while _fp_eval(rest, r, p) == 0:
-                rest = _fp_div(rest, [(-r) % p, 1], p)
-                mult += 1
-            residue_counts[r] = mult
-        ext_clusters: list[tuple[int, int]] = []  # (count, residue degree)
-        if len(rest) - 1 >= 1:
-            for piece, mult in _fp_squarefree(rest, p):
-                for e, deg_total in _fp_distinct_degree(piece, p):
-                    if e == 1:
-                        raise UndeterminedError("unexpected linear residue left over")
-                    ext_clusters.extend((mult, e) for _ in range(deg_total))
-        # assemble: the small cluster first
+        small_count = next(i for i, c in enumerate(hbar) if c != 0)
+        for piece, mult in _fp_squarefree(hbar[small_count:], p):
+            roots = _fp_roots(piece, p)
+            residues.extend((r, mult) for r in roots)
+            outer.extend([mult] * (len(piece) - 1 - len(roots)))
+        residues.sort()
     else:
-        # fractional g: no rational point has size p^g, so the big roots are
-        # all irrational; certify that they are pairwise at distance p^g via
-        # the difference polynomial, else report undetermined
-        small_count = sum(m for _, m in small_members)
-        npres = newton_polygon(residual, p) if residual.degree() >= 1 else None
-        big_irr: list[tuple[int, int]] = []
-        if npres is not None:
-            small_count += npres.roots_with_size_less(g)
-            seg = [(s, l) for s, l in npres.segments if s == g]
-            if seg:
-                total_big = seg[0][1]
-                if total_big == 1:
-                    big_irr.append((1, 1))
-                else:
-                    if _close_big_pairs(fq, p, g, small_count) > 0:
-                        raise UndeterminedError(
-                            "cannot certify the splitting of ramified wing roots")
-                    mult_map = _segment_multiplicities(residual, p, g)
-                    big_irr.extend((m, 1) for m in mult_map)
-        clusters = _assemble_fractional(f, p, g, small_members, small_count, big_irr, d)
-        total = sum(c.count for c in clusters)
-        if total != d:
-            raise UndeterminedError("cluster masses fail to account for every preimage")
-        return WingClusters(p, d, g, tuple(clusters))
+        npf = newton_polygon(fq, p)
+        small_count = npf.roots_with_size_less(g)
+        outer = [1] * sum(length for slope, length in npf.segments if slope == g)
+        if len(outer) > 1 and _close_big_pairs(fq, p, g, small_count) > 0:
+            raise UndeterminedError("cannot certify the splitting of ramified wing roots")
 
-    # integer-g assembly
     small_rat = sum(m for _, m in small_members)
     n_comp_small = _count_components(f, p, g, small_members) if small_rat == small_count else None
-    clusters.append(WingCluster(Fraction(0), small_count, Fraction(small_count, d),
-                                n_comp_small, tuple(small_members)))
-    gi = int(g)
-    for r, cnt in sorted(residue_counts.items()):
+    clusters = [WingCluster(Fraction(0), small_count, Fraction(small_count, d),
+                            n_comp_small, tuple(small_members))]
+    for r, cnt in residues:
         members = [(root, m) for root, m in big_members
-                   if _mod_reduce(root * Fraction(p) ** gi, p) == r]
+                   if _mod_reduce(root * Fraction(p) ** g, p) == r]
         rat_cnt = sum(m for _, m in members)
         if members:
             center = members[0][0]
             precision = None
         else:
-            center = Fraction(r) / Fraction(p) ** gi
+            center = Fraction(r) / Fraction(p) ** g
             precision = g - 1
         n_comp = _count_components(f, p, g, members) if rat_cnt == cnt else (1 if cnt == 1 else None)
         clusters.append(WingCluster(center, cnt, Fraction(cnt, d), n_comp,
                                     tuple(members), precision))
-    for cnt, e in ext_clusters:
-        clusters.append(WingCluster(None, cnt, Fraction(cnt, d),
-                                    1 if cnt == 1 else None, ()))
-    total = sum(c.count for c in clusters)
-    if total != d:
+    for cnt in outer:
+        clusters.append(WingCluster(None, cnt, Fraction(cnt, d), 1 if cnt == 1 else None, ()))
+    if sum(c.count for c in clusters) != d:
         raise UndeterminedError("cluster masses fail to account for every preimage")
     if len(clusters) < 2:
         raise UndeterminedError("bad place produced a single cluster; inconsistent data")
@@ -564,28 +485,6 @@ def _close_big_pairs(fq: QPoly, p: int, g: Fraction, small_count: int) -> int:
         below += newton_polygon(reduced, p).roots_with_size_less(g)
     small_pairs = small_count * (small_count - 1)
     return max(0, below - small_pairs)
-
-
-def _segment_multiplicities(residual: QPoly, p: int, g: Fraction) -> list[int]:
-    """Multiplicities of the size-p^g roots, via the squarefree decomposition."""
-    out: list[int] = []
-    for piece, mult in residual.squarefree_decomposition():
-        npp = newton_polygon(piece, p)
-        for s, l in npp.segments:
-            if s == g:
-                out.extend([mult] * l)
-    return out
-
-
-def _assemble_fractional(f, p, g, small_members, small_count, big_irr, d):
-    clusters = [WingCluster(Fraction(0), small_count, Fraction(small_count, d),
-                            None if small_count != sum(m for _, m in small_members)
-                            else _count_components(f, p, g, small_members),
-                            tuple(small_members))]
-    for cnt, _e in big_irr:
-        clusters.append(WingCluster(None, cnt, Fraction(cnt, d),
-                                    1 if cnt == 1 else None, ()))
-    return clusters
 
 
 # ---------------------------------------------------------------------------

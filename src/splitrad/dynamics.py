@@ -476,6 +476,8 @@ def candidate_bad_primes(f: Poly) -> list[int]:
     p-unit and p > d, then f is p-integral with unit top degree, its critical
     points are p-integral, and every p-integral orbit stays bounded.
     """
+    if f.field != FIELD_Q:
+        raise DomainError("bad primes are computed over Q")
     primes: set[int] = set()
     for c in f.coeffs:
         if c.denominator > 1:

@@ -28,7 +28,10 @@ def escape_rate_grid(f: Poly, window, grid: int, max_iter: int = 60) -> tuple:
     if not (x0 < x1 and y0 < y1) or grid < 2:
         raise DomainError("window must be nonempty and grid >= 2")
     d = f.degree
-    coeffs = [complex(c) for c in f.coeffs]
+    try:
+        coeffs = [complex(c) for c in f.coeffs]
+    except OverflowError:
+        raise DomainError("plotting needs coefficients within the float range") from None
     lc = abs(coeffs[-1])
     c_ad = math.log(lc) / (d - 1)
     xs = np.linspace(x0, x1, grid)

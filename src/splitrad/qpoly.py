@@ -158,27 +158,6 @@ class QPoly:
             return self.monic()
         return self.exact_div(self.gcd(self.derivative())).monic()
 
-    def squarefree_decomposition(self) -> list[tuple["QPoly", int]]:
-        """Yun decomposition: [(g_k, k)] with self = lc * prod g_k^k, g_k squarefree, coprime."""
-        if self.degree() <= 0:
-            return []
-        p = self.monic()
-        d = p.derivative()
-        a = p.gcd(d)
-        b = p.exact_div(a)
-        c = d.exact_div(a) - b.derivative()
-        out = []
-        k = 1
-        while b.degree() > 0:
-            g = b.gcd(c)
-            if g.degree() > 0:
-                out.append((g, k))
-            b2 = b.exact_div(g)
-            c = c.exact_div(g) - b2.derivative()
-            b = b2
-            k += 1
-        return out
-
     def power_sums(self, n: int) -> list[Fraction]:
         """[p_0, ..., p_n]: p_k is the sum of the k-th powers of the roots (Newton's identities)."""
         m = self.degree()

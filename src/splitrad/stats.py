@@ -93,6 +93,8 @@ def equidistribution_report(f: Poly, T, eps, m0: int,
     chain levels m0 and m0+1 is within the factor (1 +- eps) of its
     equilibrium mass, and every wing cluster holds more than (1-eps)/d of T.
     """
+    if f.field != FIELD_Q:
+        raise DomainError("equidistribution reports run over Q")
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise DomainError("eps must lie in (0, 1)")

@@ -139,6 +139,17 @@ def test_exit_code_domain_error(capsys):
     assert code == 2
 
 
+def test_q_only_subcommands_over_qt_are_domain_errors(capsys):
+    for argv in (["analyze"], ["equidistribution", "--points", "0,1"],
+                 ["equipotential", "--grid", "20"]):
+        code, out, err = run(capsys, argv[0], "--field", "Qt", "--poly", "z^3 + (1/5)*z^2",
+                             *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:")
+    code, _, err = run(capsys, "equipotential", "--poly", "z^2 + 10^400", "--grid", "20")
+    assert code == 2 and err.startswith("domain error:")
+
+
 def test_exit_code_undetermined(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("nonarch_maxiter = 1\n# comment\n")

@@ -94,3 +94,8 @@ def test_window_validation():
         equipotential_svg(SPLASH, window=(1, 1, -1, 1), grid=50)
     with pytest.raises(DomainError):
         contour_polylines(SPLASH, (-1, 1, -1, 1), [0.0], 50)
+
+
+def test_coefficient_beyond_float_range_is_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        escape_rate_grid(parse_poly("z^2 + 10^400"), (-1, 1, -1, 1), 20)
