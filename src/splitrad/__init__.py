@@ -35,6 +35,21 @@ from .stats import (AbcQuality, AbcTriple, EquidistributionReport,
                     PairMomentResult, abc_quality, epsilon_good_fraction,
                     epsilon_good_sum, equidistribution_report, pair_moment,
                     theorem_experiment)
-from .plotting import contour_polylines, equipotential_svg, escape_rate_grid
 
 __version__ = "0.1.0"
+
+# plotting needs numpy; it loads on first use, not with the package
+_PLOTTING = ("contour_polylines", "equipotential_svg", "escape_rate_grid")
+
+
+def __getattr__(name):
+    if name == "plotting" or name in _PLOTTING:
+        import importlib
+
+        plotting = importlib.import_module(".plotting", __name__)
+        return plotting if name == "plotting" else getattr(plotting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | {"plotting", *_PLOTTING})

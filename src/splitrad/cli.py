@@ -18,7 +18,6 @@ from .exact import DomainError, UndeterminedError
 from .berkovich import inner_disk_chain, wing_clusters
 from .dynamics import parse_ground, parse_poly, preperiodic_points, print_poly
 from .localheights import analyze, canonical_height, critical_height_global
-from .plotting import equipotential_svg
 from .stats import (AbcTriple, abc_quality, equidistribution_report,
                     rows_to_csv, theorem_experiment)
 
@@ -267,6 +266,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "equipotential":
+        from .plotting import equipotential_svg  # numpy loads only here
+
         f = parse_poly(args.poly, args.field)
         window = tuple(float(x) for x in args.window.split(","))
         levels = tuple(float(x) for x in args.levels.split(","))

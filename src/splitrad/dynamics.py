@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, divisors, factorize, is_prime, valuation
+from .exact import (DomainError, UndeterminedError, divisors, factorize, is_prime,
+                    valuation)
 from .places import FIELD_Q, FIELD_QT
 from .qpoly import QPoly, RatFunc, format_tpoly, irreducible_factors
 
@@ -407,12 +408,9 @@ def critical_points(f: Poly) -> tuple[list[tuple[Fraction, int]], list[QPoly]]:
     """Rational roots of f' with multiplicity, plus leftover irreducible factors of f'."""
     if f.field != FIELD_Q:
         raise DomainError("critical points are computed over Q")
-    fp = f.derivative_qpoly()
-    roots = fp.rational_roots()
-    residual = fp.monic()
-    for r, m in roots:
-        residual = residual.exact_div(QPoly([-r, 1]) ** m)
-    leftovers = [g for g, mult in irreducible_factors(residual) for _ in range(mult)]
+    factors = irreducible_factors(f.derivative_qpoly())
+    roots = sorted((-g[0], mult) for g, mult in factors if g.degree() == 1)
+    leftovers = [g for g, mult in factors if g.degree() > 1 for _ in range(mult)]
     return roots, leftovers
 
 
@@ -450,6 +448,14 @@ def in_superattracting_family(f: Poly, m: int) -> bool:
 # ---------------------------------------------------------------------------
 # preperiodic points (over Q)
 # ---------------------------------------------------------------------------
+
+# Largest search box (starting points) that preperiodic_points enumerates.
+# The largest box in the benchmark's family scans is ~4 * 10^3 points.  On
+# one AMD EPYC core (Python 3.11) the search runs at ~190k points/s for
+# z^2 + c and ~110k points/s for z^3 + z^2/a, so a box at the cap takes
+# 5-10 s.
+_MAX_BOX_POINTS = 10 ** 6
+
 
 @dataclass(frozen=True, order=True)
 class PreperiodicPoint:
@@ -518,10 +524,17 @@ def preperiodic_points(f: Poly) -> list[PreperiodicPoint]:
     denominator divides B (from the p-adic escape radii), its numerator is
     a multiple of F and bounded by R * denominator archimedean-wise.  Orbits
     inside the box repeat by pigeonhole; leaving the box certifies escape.
+    A box of more than _MAX_BOX_POINTS starting points raises
+    UndeterminedError before any point is tried.
     """
     if f.field != FIELD_Q:
         raise DomainError("preperiodic search runs over Q")
     R, B, F = _search_box(f)
+    dens = divisors(B)
+    size = sum(2 * int(R * b) + 1 for b in dens)
+    if size > _MAX_BOX_POINTS:
+        raise UndeterminedError(f"preperiodic search box holds {size} starting points, "
+                                f"above the cap of {_MAX_BOX_POINTS}")
     results: list[PreperiodicPoint] = []
     decided: dict[Fraction, bool] = {}
 
@@ -545,10 +558,8 @@ def preperiodic_points(f: Poly) -> list[PreperiodicPoint]:
             decided[y] = verdict
         return verdict
 
-    nmax_cache: dict[int, int] = {}
-    for b in divisors(B):
+    for b in dens:
         nmax = int(R * b)
-        nmax_cache[b] = nmax
         for a in range(-nmax, nmax + 1):
             if math.gcd(a, b) != 1:
                 continue

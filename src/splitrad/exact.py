@@ -10,6 +10,7 @@ be asserted exactly on the formal data.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -34,22 +35,29 @@ class UndeterminedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _TRIAL_LIMIT = 10 ** 6
-_small_primes: list[int] | None = None
+_small_primes: list[int] = []
+_sieved_to = 1
 
 # witnesses certifying primality for every n < 3.3 * 10^24 (covers 64-bit)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _sieve() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        limit = _TRIAL_LIMIT
+def _primes_upto(m: int) -> list[int]:
+    """Ascending primes, at least all those <= min(m, 10^6).
+
+    The sieve grows on demand, at least doubling each time, so a small
+    factorization never pays for the full table.
+    """
+    global _small_primes, _sieved_to
+    if m > _sieved_to and _sieved_to < _TRIAL_LIMIT:
+        limit = min(_TRIAL_LIMIT, max(m, 2 * _sieved_to))
         mark = bytearray([1]) * (limit + 1)
         mark[0] = mark[1] = 0
-        for i in range(2, int(limit ** 0.5) + 1):
+        for i in range(2, math.isqrt(limit) + 1):
             if mark[i]:
-                mark[i * i:: i] = bytearray(len(mark[i * i:: i]))
-        _small_primes = [i for i in range(limit + 1) if mark[i]]
+                mark[i * i:: i] = bytes((limit - i * i) // i + 1)
+        _small_primes = list(itertools.compress(range(limit + 1), mark))
+        _sieved_to = limit
     return _small_primes
 
 
@@ -114,7 +122,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
         raise DomainError("factorize(0) is undefined")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _sieve():
+    for p in _primes_upto(math.isqrt(n)):
         if p * p > n:
             break
         while n % p == 0:

@@ -1,11 +1,14 @@
 """Dense univariate polynomials over Q and the rational function field Q(t).
 
-QPoly is the workhorse for everything exact: gcds, squarefree parts, Taylor
-shifts, and power sums of roots (Newton's identities) to build polynomials
+QPoly is the workhorse for everything exact: gcds, Taylor shifts, rational
+roots, and power sums of roots (Newton's identities) to build polynomials
 from the images or differences of roots.  RatFunc wraps a reduced
 num/den pair and provides the valuations that make Q(t) a product-formula
 field (finite places = monic irreducibles, plus the degree valuation at
-t = infinity).  Irreducible factorization over Q is delegated to sympy.
+t = infinity).  Rational roots come from integer brackets of the real
+roots (bisection on monotone pieces), so no divisor of a coefficient is
+ever enumerated; irreducible_factors splits off the linear factors itself
+and imports sympy only for a rest of degree >= 4.
 """
 
 from __future__ import annotations
@@ -153,11 +156,6 @@ class QPoly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def squarefree_part(self) -> "QPoly":
-        if self.degree() <= 0:
-            return self.monic()
-        return self.exact_div(self.gcd(self.derivative())).monic()
-
     def power_sums(self, n: int) -> list[Fraction]:
         """[p_0, ..., p_n]: p_k is the sum of the k-th powers of the roots (Newton's identities)."""
         m = self.degree()
@@ -183,42 +181,87 @@ class QPoly:
         return cls(a)
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
-        """All rational roots with multiplicities, by candidate testing + deflation."""
+        """All rational roots with multiplicities, ascending.
+
+        Over an integer form a_n x^n + ... + a_0, a root x = u/v in lowest
+        terms has v | a_n, so y = a_n x is an integer root of the monic
+        q(y) = a_n^(n-1) p(y/a_n).  Every real root of q lies in one of the
+        unit brackets of _root_brackets; each bracket end is tested exactly
+        and every root found is deflated out.
+        """
         if self.degree() <= 0:
             return []
-        from .exact import divisors
         p = self
         roots: dict[Fraction, int] = {}
-        # root at 0
         k = 0
-        while p.degree() >= 0 and p[0] == 0 and not p.is_zero():
+        while p[0] == 0:
             p = QPoly(p.coeffs[1:])
             k += 1
         if k:
             roots[Fraction(0)] = k
         if p.degree() <= 0:
             return sorted(roots.items())
-        # clear denominators -> integer polynomial
         den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
         ip = [int(c * den_lcm) for c in p.coeffs]
-        a0, an = abs(ip[0]), abs(ip[-1])
-        for num in divisors(a0):
-            for den in divisors(an):
-                if math.gcd(num, den) != 1:
-                    continue
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    mult = 0
-                    while p.eval(cand) == 0:
-                        p = p.exact_div(QPoly([-cand, 1]))
-                        mult += 1
-                    if mult:
-                        roots[cand] = mult
-                    if p.degree() <= 0:
-                        return sorted(roots.items())
+        g = math.gcd(*ip)
+        ip = [c // g for c in ip]
+        n, an = len(ip) - 1, ip[-1]
+        q = [c * an ** (n - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
+        for y in sorted({e for lo in _root_brackets(q) for e in (lo, lo + 1)}):
+            if p.degree() <= 0:
+                break
+            if _int_eval(q, y) != 0:
+                continue
+            cand = Fraction(y, an)
+            mult = 0
+            while p.eval(cand) == 0:
+                p = p.exact_div(QPoly([-cand, 1]))
+                mult += 1
+            roots[cand] = mult
         return sorted(roots.items())
 
     def __repr__(self) -> str:
         return f"QPoly({format_tpoly(self)})"
+
+
+def _int_eval(c: list[int], x: int) -> int:
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+def _root_brackets(c: list[int]) -> list[int]:
+    """Sorted integers lo such that each real root of c lies in some [lo, lo + 1].
+
+    c is an integer polynomial of degree >= 1, lowest degree first.  The
+    brackets of c' split (-bound, bound), bound above the Cauchy bound, into
+    pieces on which c is monotone; a piece whose ends differ in sign is
+    bisected down to a unit bracket.  A root inside a bracket of c' (a
+    double root, or two roots close together) is covered by keeping that
+    bracket too.
+    """
+    if len(c) == 2:
+        return [-c[0] // c[1]]
+    bound = 2 + max(abs(a) for a in c[:-1]) // abs(c[-1])
+    crit = _root_brackets([i * a for i, a in enumerate(c)][1:])
+    out = set(crit)
+    ends = [-bound] + [e for lo in crit for e in (lo, lo + 1)] + [bound]
+    for a, b in zip(ends[::2], ends[1::2]):
+        if a >= b:
+            continue
+        sa = _int_eval(c, a)
+        if sa * _int_eval(c, b) > 0:
+            continue
+        while b - a > 1:
+            m = (a + b) // 2
+            sm = _int_eval(c, m)
+            if sa * sm > 0:
+                a, sa = m, sm
+            else:
+                b = m
+        out.add(a)
+    return sorted(out)
 
 
 def _lift(c: Fraction, x):
@@ -252,10 +295,24 @@ def _factor_cached(coeffs: tuple) -> tuple:
 
 
 def irreducible_factors(p: QPoly) -> list[tuple[QPoly, int]]:
-    """Monic irreducible factorization over Q (constant dropped)."""
+    """Monic irreducible factorization over Q (constant dropped), by (degree, coefficients).
+
+    The linear factors come from rational_roots.  What is left has no
+    rational root, so at degree 2 or 3 it is irreducible; only a rest of
+    degree >= 4 goes to sympy.
+    """
     if p.degree() <= 0:
         return []
-    return list(_factor_cached(p.coeffs))
+    roots = p.rational_roots()
+    rest = p.monic()
+    for r, m in roots:
+        rest = rest.exact_div(QPoly([-r, 1]) ** m)
+    out = [(QPoly([-r, 1]), m) for r, m in roots]
+    if rest.degree() >= 4:
+        out += _factor_cached(rest.coeffs)
+    elif rest.degree() > 0:
+        out.append((rest, 1))
+    return sorted(out, key=lambda fm: (fm[0].degree(), fm[0].coeffs))
 
 
 # ---------------------------------------------------------------------------

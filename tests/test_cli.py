@@ -195,3 +195,17 @@ def test_spec_cli_examples_run_quickly(capsys):
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert time.monotonic() - start < 10.0
+
+
+def test_preperiodic_box_above_the_cap_exits_3(capsys):
+    code, out, err = run(capsys, "preperiodic", "--poly", "z^2 + 1000000000")
+    assert code == 3 and out == ""
+    assert "box holds 2000000005 starting points, above the cap of 1000000" in err
+
+
+def test_experiment_skips_a_parameter_whose_box_is_above_the_cap(capsys):
+    code, out, err = run(capsys, "experiment", "--family", "z^3 + (1/a)*z^2",
+                         "--values", "5,1000003")
+    assert code == 0
+    assert len(out.strip().splitlines()) > 1  # the rows of a = 5
+    assert "skipped 1000003: certificate failure: preperiodic search box holds" in err

@@ -1,13 +1,15 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from splitrad import dynamics
 from splitrad.dynamics import (ParseError, center, conjugate,
                                critical_points, iterate, parse_ground,
                                parse_poly, preperiodic_points, print_poly,
                                superattracting_cycles)
-from splitrad.exact import DomainError
+from splitrad.exact import DomainError, UndeterminedError
 from splitrad.places import FIELD_QT
 from splitrad.qpoly import RatFunc
 
@@ -184,6 +186,27 @@ def test_preperiodic_points_verify_exactly():
                 assert iterate(f, pp.value, k + pp.period)[-1] != orbit[k]
             # f-invariance of the set
             assert f(pp.value) in values
+
+
+@pytest.mark.parametrize("text, size", [
+    ("z^2 + 1000000000", 2 * 1000000002 + 1),
+    ("z^2 - (1/1000000007)*z", 5 + 2 * (2 * 1000000007 + 1) + 1),
+    ("1000003*z^3 + z^2", 3 + 2 * 1000003 + 1),
+])
+def test_preperiodic_box_above_the_cap_gives_up(text, size):
+    start = time.perf_counter()
+    with pytest.raises(UndeterminedError, match=f"box holds {size} starting points"):
+        preperiodic_points(parse_poly(text))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_preperiodic_box_cap_is_inclusive(monkeypatch):
+    f = parse_poly("z^2 - 1")  # R = 3, B = 1: seven starting points
+    monkeypatch.setattr(dynamics, "_MAX_BOX_POINTS", 7)
+    assert len(preperiodic_points(f)) == 3
+    monkeypatch.setattr(dynamics, "_MAX_BOX_POINTS", 6)
+    with pytest.raises(UndeterminedError, match="box holds 7 starting points"):
+        preperiodic_points(f)
 
 
 def test_superattracting_cycles_derivative_vanishes():

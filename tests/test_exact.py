@@ -1,8 +1,11 @@
+import bisect
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from splitrad import exact
 from splitrad.exact import (DomainError, INFINITY, LogValue, factorize,
                             is_prime, valuation)
 from splitrad.intervals import Interval
@@ -51,6 +54,94 @@ def test_factorize_reconstructs_and_sorted():
 def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * q) == [(p, 1), (q, 1)]
+
+
+def _full_sieve(limit):
+    mark = bytearray([1]) * (limit + 1)
+    mark[0] = mark[1] = 0
+    for i in range(2, int(limit ** 0.5) + 1):
+        if mark[i]:
+            mark[i * i:: i] = bytearray(len(mark[i * i:: i]))
+    return [i for i in range(limit + 1) if mark[i]]
+
+
+FULL_TABLE = _full_sieve(10 ** 6)
+
+
+def reference_factorize(n):
+    """The earlier factorize: trial division over every prime below 10^6, then rho."""
+    n = abs(n)
+    out = {}
+    for p in FULL_TABLE:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        rng = random.Random(0xFAC70)
+        stack = [n]
+        while stack:
+            m = stack.pop()
+            if is_prime(m):
+                out[m] = out.get(m, 0) + 1
+                continue
+            d = exact._pollard_rho(m, rng)
+            stack.append(d)
+            stack.append(m // d)
+    return sorted(out.items())
+
+
+def _near_prime(x, up):
+    i = bisect.bisect_left(FULL_TABLE, x)
+    return FULL_TABLE[min(i, len(FULL_TABLE) - 1)] if up else FULL_TABLE[max(i - 1, 0)]
+
+
+# primes at and next to the sieve's sizes: each size is the first isqrt(n)
+# asked for or at least double the last, so p^2 asks for exactly p
+_bases = st.one_of(st.integers(2, 3000), st.integers(10 ** 6 - 3000, 10 ** 6 + 50),
+                   st.sampled_from([2 ** k + d for k in range(1, 21) for d in (-1, 0, 1)]))
+_primes = st.builds(_near_prime, _bases, st.booleans())
+_hard_ints = st.one_of(st.builds(lambda p: p * p, _primes),
+                       st.builds(lambda p, q: p * q, _primes, _primes),
+                       st.builds(lambda p, q, r: p * q * r, _primes, _primes, _primes),
+                       st.integers(1, 10 ** 13))
+
+
+def _with_rho_calls(fn, n, expect=None):
+    """fn(n) and the numbers it handed to Pollard rho, which must follow `expect`.
+
+    Failing at the first unexpected call matters: rho never returns on some
+    small composites (4, for one) that trial division should have split.
+    """
+    calls = []
+    real_rho = exact._pollard_rho
+
+    def spy(m, rng):
+        calls.append(m)
+        assert expect is None or calls == expect[:len(calls)], f"unexpected rho({m})"
+        return real_rho(m, rng)
+
+    exact._pollard_rho = spy
+    try:
+        return fn(n), calls
+    finally:
+        exact._pollard_rho = real_rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_hard_ints, min_size=1, max_size=6))
+def test_factorize_matches_full_sieve(ns):
+    """Same factors and the same rho calls as the full table, small-then-large and back."""
+    saved = exact._small_primes, exact._sieved_to
+    try:
+        for order in (sorted(ns), sorted(ns, reverse=True)):
+            exact._small_primes, exact._sieved_to = [], 1  # as in a fresh process
+            for n in order:
+                want = _with_rho_calls(reference_factorize, n)
+                assert _with_rho_calls(factorize, n, want[1]) == want
+    finally:
+        exact._small_primes, exact._sieved_to = saved
 
 
 def test_is_prime_spots():
