@@ -165,6 +165,29 @@ def center(f: Poly) -> tuple[Poly, object]:
 
 _TOKEN_OPS = set("+-*/^()")
 
+# Caps on `^`, past which parsing raises ParseError: the exponent; the terms
+# z^i*t^j a power can have, (degree in z + 1)*(degree in t + 1), so degree
+# 256 over Q; and the bit length of its rational coefficients, estimated as
+# the exponent times the base's.  Over Q(t) every coefficient operation is a
+# gcd in Q[t], which is why the degrees in z and t share one cap.
+_MAX_EXPONENT = 10_000
+_MAX_POWER_TERMS = 257
+_MAX_POWER_BITS = 100_000
+
+
+def _is_zero(c) -> bool:
+    return c.is_zero() if isinstance(c, RatFunc) else c == 0
+
+
+def _t_degree(c) -> int:
+    return max(c.num.degree(), c.den.degree()) if isinstance(c, RatFunc) else 0
+
+
+def _bits(c) -> int:
+    if isinstance(c, RatFunc):
+        return max(map(_bits, c.num.coeffs + c.den.coeffs))
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
 
 def _tokenize(text: str):
     toks = []
@@ -302,35 +325,55 @@ class _Parser:
         z = self._zero()
         out = [z] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
+            if _is_zero(c):
+                continue
             for j, d in enumerate(b):
-                out[i + j] = out[i + j] + c * d
+                if not _is_zero(d):
+                    out[i + j] = out[i + j] + c * d
         return self._trim(out)
 
     def _div(self, a, b, pos):
         if len(self._trim(b)) > 1:
             raise ParseError("division by an expression involving z", pos)
         c = b[0]
-        if (c.is_zero() if isinstance(c, RatFunc) else c == 0):
+        if _is_zero(c):
             raise ParseError("division by zero", pos)
         return [x / c for x in a]
 
     def _pow(self, a, e, pos):
         a = self._trim(a)
-        if e < 0:
-            if len(a) > 1:
-                raise ParseError("negative power of an expression involving z", pos)
+        n = abs(e)
+        if n > _MAX_EXPONENT:
+            raise ParseError(f"exponent {e} exceeds the cap of {_MAX_EXPONENT}", pos)
+        deg_z, deg_t = (len(a) - 1) * n, n * max(map(_t_degree, a))
+        if (deg_z + 1) * (deg_t + 1) > _MAX_POWER_TERMS:
+            in_t = f" and {deg_t} in t" if self.field == FIELD_QT else ""
+            raise ParseError(f"a power of degree {deg_z} in z{in_t} has up to "
+                             f"{(deg_z + 1) * (deg_t + 1)} terms, above the cap of "
+                             f"{_MAX_POWER_TERMS}", pos)
+        bits = n * max(map(_bits, a))
+        if bits > _MAX_POWER_BITS:
+            raise ParseError(f"a power with coefficients of about {bits} bits is above the "
+                             f"cap of {_MAX_POWER_BITS} bits", pos)
+        if len(a) == 1:
             c = a[0]
-            if (c.is_zero() if isinstance(c, RatFunc) else c == 0):
+            if e < 0 and _is_zero(c):
                 raise ParseError("zero to a negative power", pos)
-            return [c ** e if isinstance(c, RatFunc) else c ** e]
+            return [c ** e]
+        if e < 0:
+            raise ParseError("negative power of an expression involving z", pos)
         out = [self._const(1)]
-        for _ in range(e):
-            out = self._mul(out, a)
+        while e:
+            if e & 1:
+                out = self._mul(out, a)
+            e >>= 1
+            if e:
+                a = self._mul(a, a)
         return out
 
     def _trim(self, a):
         a = list(a)
-        while len(a) > 1 and (a[-1].is_zero() if isinstance(a[-1], RatFunc) else a[-1] == 0):
+        while len(a) > 1 and _is_zero(a[-1]):
             a.pop()
         return a
 
@@ -350,7 +393,7 @@ def parse_ground(text: str, field: str = FIELD_Q):
     """Parse a ground-field element (no z allowed)."""
     coeffs = _Parser(text, field).parse()
     trimmed = [c for i, c in enumerate(coeffs)
-               if i > 0 and not (c.is_zero() if isinstance(c, RatFunc) else c == 0)]
+               if i > 0 and not _is_zero(c)]
     if trimmed:
         raise DomainError("expected a constant expression without z")
     return coeffs[0]

@@ -77,8 +77,66 @@ def _mr_witness(n: int, a: int) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 37 with Selfridge's parameters (method A).
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; n passes when U_d = 0 or V_(d*2^r) = 0 for some
+    0 <= r < s, where n + 1 = d*2^s with d odd.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic below 2^64 (fixed Miller-Rabin bases), seeded-probabilistic above."""
+    """Primality: deterministic below 2^64, Baillie-PSW above.
+
+    Below 2^64 the fixed Miller-Rabin bases _MR_BASES are a proof.  Above
+    it, Baillie-PSW (a strong base-2 test and a strong Lucas test) has no
+    known counterexample, but that is not a proof.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -86,12 +144,22 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 1 << 64:
         return not any(_mr_witness(n, a) for a in _MR_BASES)
-    rng = random.Random(0x5EED ^ n)
-    return not any(_mr_witness(n, rng.randrange(2, n - 1)) for _ in range(32))
+    return not _mr_witness(n, 2) and _strong_lucas_probable_prime(n)
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant)."""
+# Pollard rho steps one factorize call may spend over all its cofactors; a
+# product of two primes near 10^10 needs about this many
+_RHO_BUDGET = 1 << 17
+
+
+def _pollard_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of composite n, and the steps spent finding it.
+
+    Floyd's cycle finding on x -> x^2 + c: x steps once and y twice per
+    step, and the differences are multiplied up and gcd'ed with n every 64
+    steps.  Raises UndeterminedError once more than `budget` steps are spent.
+    """
+    steps = 0
     while True:
         c = rng.randrange(1, n)
         x = rng.randrange(0, n)
@@ -108,15 +176,21 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
                 break
             if count % 64 == 0:
                 d = math.gcd(q, n)
+                if d == 1 and steps + count > budget:
+                    raise UndeterminedError(
+                        f"factorization of a {len(str(n))}-digit cofactor exceeded "
+                        f"the Pollard rho budget of {_RHO_BUDGET} steps")
+        steps += count
         if 1 < d < n:
-            return d
+            return d, steps
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of |n| as [(p, e), ...] with p strictly increasing.
 
-    Trial division up to 10^6, then Pollard rho with a fixed seed; primality
-    of cofactors is certified by Miller-Rabin as in is_prime.
+    Trial division up to 10^6, then Pollard rho with a fixed seed and at
+    most _RHO_BUDGET steps over all cofactors, past which it raises
+    UndeterminedError; primality of cofactors is decided by is_prime.
     """
     if n == 0:
         raise DomainError("factorize(0) is undefined")
@@ -131,12 +205,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         rng = random.Random(0xFAC70)
         stack = [n]
+        budget = _RHO_BUDGET
         while stack:
             m = stack.pop()
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
-            d = _pollard_rho(m, rng)
+            d, spent = _pollard_rho(m, rng, budget)
+            budget -= spent
             stack.append(d)
             stack.append(m // d)
     return sorted(out.items())

@@ -373,12 +373,11 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
         if f[0] != 0 or f[1] != 0:
             skips.append((label, "no superattracting fixed point at 0"))
             continue
-        has_bad = any(p > f.degree and splitting_exponent(f, p) > 0
-                      for p in candidate_bad_primes(f))
-        if not has_bad:
-            skips.append((label, "no bad place"))
-            continue
         try:
+            if not any(p > f.degree and splitting_exponent(f, p) > 0
+                       for p in candidate_bad_primes(f)):
+                skips.append((label, "no bad place"))
+                continue
             hc = critical_height_global(f, tol)
             preper = preperiodic_points(f)
             T = [pp.value for pp in preper]

@@ -209,3 +209,23 @@ def test_experiment_skips_a_parameter_whose_box_is_above_the_cap(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) > 1  # the rows of a = 5
     assert "skipped 1000003: certificate failure: preperiodic search box holds" in err
+
+
+def test_experiment_skips_a_parameter_whose_factorization_exceeds_the_budget(capsys):
+    # 1000000000100000000002379 = 1000000000039 * 1000000000061
+    code, out, err = run(capsys, "experiment", "--family", "z^3 + (1/a)*z^2",
+                         "--values", "5,1000000000100000000002379")
+    assert code == 0
+    assert out.splitlines()[1].startswith("5,log(3) + log(5),")  # the row of a = 5
+    assert ("skipped 1000000000100000000002379: certificate failure: factorization of a "
+            "25-digit cofactor exceeded the Pollard rho budget of 131072 steps") in err
+
+
+def test_canonical_height_with_an_unfactorable_denominator_exits_3(capsys):
+    import time
+    start = time.monotonic()
+    code, out, err = run(capsys, "canonical-height", "--poly", "z^3 + (1/5)*z^2",
+                         "--point", "1/8808046456595511703397342424939986591502523")
+    assert code == 3 and out == ""
+    assert "exceeded the Pollard rho budget of 131072 steps" in err
+    assert time.monotonic() - start < 2.0

@@ -1,12 +1,14 @@
 import bisect
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from splitrad import exact
-from splitrad.exact import (DomainError, INFINITY, LogValue, factorize,
+from splitrad.exact import (DomainError, INFINITY, LogValue, UndeterminedError, factorize,
                             is_prime, valuation)
 from splitrad.intervals import Interval
 from splitrad.places import Place, local_abs_log
@@ -86,7 +88,7 @@ def reference_factorize(n):
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
-            d = exact._pollard_rho(m, rng)
+            d, _ = exact._pollard_rho(m, rng, math.inf)
             stack.append(d)
             stack.append(m // d)
     return sorted(out.items())
@@ -117,10 +119,10 @@ def _with_rho_calls(fn, n, expect=None):
     calls = []
     real_rho = exact._pollard_rho
 
-    def spy(m, rng):
+    def spy(m, *args):
         calls.append(m)
         assert expect is None or calls == expect[:len(calls)], f"unexpected rho({m})"
-        return real_rho(m, rng)
+        return real_rho(m, *args)
 
     exact._pollard_rho = spy
     try:
@@ -147,6 +149,65 @@ def test_factorize_matches_full_sieve(ns):
 def test_is_prime_spots():
     assert is_prime(2) and is_prime(3) and is_prime(2 ** 61 - 1)
     assert not is_prime(1) and not is_prime(2 ** 67 - 1)
+
+
+def _chernick_carmichaels(count):
+    """(6k+1)(12k+1)(18k+1) above 2^64 with all three factors prime: Carmichael numbers."""
+    out, k = [], 250_000
+    while len(out) < count:
+        k += 1
+        if all(sympy.isprime(a * k + 1) for a in (6, 12, 18)):
+            out.append((6 * k + 1) * (12 * k + 1) * (18 * k + 1))
+    return out
+
+
+def test_is_prime_rejects_pseudoprimes_above_2_64():
+    for n in _chernick_carmichaels(6):
+        assert n > 2 ** 64 and pow(2, n - 1, n) == 1 and not is_prime(n)
+    # (4^p + 1)/5 is a strong base-2 pseudoprime: only the Lucas half rejects it
+    for p in (37, 41, 43, 53, 61, 67, 89, 127):
+        n = (4 ** p + 1) // 5
+        assert n > 2 ** 64 and not exact._mr_witness(n, 2) and not is_prime(n)
+
+
+_odd = st.integers(65, 256).flatmap(lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)).map(lambda n: n | 1)
+_big_prime = st.integers(2 ** 20, 2 ** 160).map(sympy.nextprime)
+_products = st.one_of(st.builds(lambda p, q: p * q, _big_prime, _big_prime),
+                      st.builds(lambda p, q, r: p * q * r, _big_prime, _big_prime, _big_prime))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_odd, _big_prime, _products).filter(lambda n: n > 2 ** 64))
+def test_is_prime_matches_sympy_above_2_64(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_factorize_gives_up_at_the_rho_budget():
+    with pytest.raises(UndeterminedError, match="factorization of a 43-digit cofactor exceeded "
+                                                "the Pollard rho budget of 131072 steps"):
+        factorize(8808046456595511703397342424939986591502523)
+    # two 11-digit primes still fit in the budget
+    assert factorize(10000000019 * 10000000033) == [(10000000019, 1), (10000000033, 1)]
+
+
+def test_rho_budget_is_shared_by_every_cofactor(monkeypatch):
+    calls = []
+    real_rho = exact._pollard_rho
+
+    def spy(m, rng, budget):
+        d, spent = real_rho(m, rng, budget)
+        calls.append((budget, spent))
+        return d, spent
+
+    monkeypatch.setattr(exact, "_pollard_rho", spy)
+    primes = [10000019, 10000079, 10000103, 10000121]
+    assert factorize(math.prod(primes)) == [(p, 1) for p in primes]
+    assert len(calls) == 3 and calls[0][0] == exact._RHO_BUDGET
+    for (budget, spent), (left, _) in zip(calls, calls[1:]):
+        assert left == budget - spent
+    monkeypatch.setattr(exact, "_RHO_BUDGET", 64)
+    with pytest.raises(UndeterminedError, match="15-digit cofactor exceeded the Pollard rho budget of 64"):
+        factorize(10000019 * 10000079)
 
 
 def test_valuation_examples():

@@ -5,9 +5,8 @@ The pools (``bench/ref/*.json``) hold inputs with independent references;
 the way the benchmark does.  Both are imported read-only.  Every stride-th
 entry of a kind is replayed, so the slice never depends on an outcome.
 
-``test_full_pool_entry`` replays every entry of every pool instead, except
-``factor_budget``, whose factorization does not end; it is marked
-``full_pools`` and deselected by default:
+``test_full_pool_entry`` replays every entry of every pool instead; it is
+marked ``full_pools`` and deselected by default:
 
     python -m pytest -m full_pools tests/test_pools.py
 """
@@ -43,7 +42,7 @@ SLICES = [("family_scan", "cubic", 11), ("family_scan", "quintic", 5),
           ("height_batch", "critical_height_global", 20), ("height_batch", "bounded", 33),
           ("height_batch", "escaping", 55), ("height_batch", "rho", 12),
           ("give_up", "pushforward_depth", 1), ("give_up", "nonarch_tiny", 4),
-          ("give_up", "parabolic_real", 34),
+          ("give_up", "parabolic_real", 34), ("give_up", "factor_budget", 16),
           ("cli_mix", "equidistribution-5a", 1)]
 
 
@@ -87,8 +86,7 @@ def test_pool_entry(workload, kind, idx, tmp_path):
 
 @pytest.mark.full_pools
 @pytest.mark.parametrize("workload, kind, idx", list(_params(
-    (workload, kind, 1) for workload, pool in POOLS.items() for kind in pool["kinds"]
-    if kind != "factor_budget")))  # ROADMAP 5b: unbudgeted Pollard rho does not end
+    (workload, kind, 1) for workload, pool in POOLS.items() for kind in pool["kinds"])))
 def test_full_pool_entry(workload, kind, idx, tmp_path):
     _replay(workload, kind, idx, tmp_path)
 
