@@ -30,7 +30,8 @@ from .exact import (DomainError, LogValue, UndeterminedError, is_prime,
 from .dynamics import Poly
 from .localheights import newton_polygon, splitting_exponent
 from .places import FIELD_Q, Place
-from .qpoly import QPoly
+from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_gcd, poly_monic,
+                    poly_powmod, poly_trim)
 
 
 # ---------------------------------------------------------------------------
@@ -161,71 +162,8 @@ def annulus_membership_in_chain(chain: DiskChain, z, m0: int) -> AnnulusPosition
 
 
 # ---------------------------------------------------------------------------
-# F_p polynomial helpers (for residue clustering)
+# squarefree pieces and roots mod p (for residue clustering)
 # ---------------------------------------------------------------------------
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by a nonzero b over F_p."""
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    quot = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = a[k + db] * inv % p
-        quot[k] = c
-        if c:
-            for j, y in enumerate(b):
-                a[k + j] = (a[k + j] - c * y) % p
-    return _fp_trim(quot), _fp_trim(a[:db])
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim(a[:]), _fp_trim(b[:])
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _fp_derivative(a: list[int], p: int) -> list[int]:
-    return _fp_trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def _fp_pow(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
 
 def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
     """[(monic squarefree factor, multiplicity)] over F_p, handling p-th powers.
@@ -234,29 +172,27 @@ def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
     their multiplicities alone: those prime to p ascending, then (recursively)
     the multiples of p.
     """
-    a = a[:]
     if len(a) - 1 < 1:
         return []
-    inv = pow(a[-1], -1, p)
-    a = [c * inv % p for c in a]
-    da = _fp_derivative(a, p)
+    a = poly_monic(a, p)
+    da = poly_derivative(a, p)
     if not da:  # a = u(w^p), a p-th power over F_p
-        u = _fp_trim(a[::p])
+        u = poly_trim(a[::p])
         return [(q, m * p) for q, m in _fp_squarefree(u, p)]
     out: list[tuple[list[int], int]] = []
-    g = _fp_gcd(a, da, p)
-    b = _fp_divmod(a, g, p)[0]
+    g = poly_gcd(a, da, p)
+    b = poly_divmod(a, g, p)[0]
     m = 1
     while len(b) - 1 >= 1:
-        c = _fp_gcd(b, g, p)
-        piece = _fp_divmod(b, c, p)[0]
+        c = poly_gcd(b, g, p)
+        piece = poly_divmod(b, c, p)[0]
         if len(piece) - 1 >= 1:
             out.append((piece, m))
         b = c
-        g = _fp_divmod(g, c, p)[0]
+        g = poly_divmod(g, c, p)[0]
         m += 1
     if len(g) - 1 >= 1:  # leftover p-th power part
-        u = _fp_trim(g[::p])
+        u = poly_trim(g[::p])
         out.extend((q, mm * p) for q, mm in _fp_squarefree(u, p))
     return out
 
@@ -268,7 +204,7 @@ def _fp_roots(a: list[int], p: int) -> list[int]:
     (x + c)^((p-1)/2) - 1 separate them.  That split needs odd p, and at
     p = 2 none is needed: with a(0) != 0 the only candidate root is 1.
     """
-    lin = _fp_gcd(_fp_sub(_fp_pow([0, 1], p, a, p), [0, 1], p), a, p)
+    lin = poly_gcd(poly_add(poly_powmod([0, 1], p, a, p), [0, -1], p), a, p)
     rng = random.Random(0x526F)
     out: list[int] = []
     stack = [lin]
@@ -278,10 +214,10 @@ def _fp_roots(a: list[int], p: int) -> list[int]:
             out.append(-h[0] % p)
         elif len(h) > 2:
             while True:
-                t = _fp_sub(_fp_pow([rng.randrange(p), 1], (p - 1) // 2, h, p), [1], p)
-                s = _fp_gcd(t, h, p)
+                t = poly_add(poly_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p), [-1], p)
+                s = poly_gcd(t, h, p)
                 if 1 < len(s) < len(h):
-                    stack += [s, _fp_divmod(h, s, p)[0]]
+                    stack += [s, poly_divmod(h, s, p)[0]]
                     break
     return sorted(out)
 
@@ -410,7 +346,7 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
         # become units), reduce mod p, and read residues
         scaled = [f[j] * Fraction(p) ** (-int(g) * j) for j in range(d + 1)]
         vmin = min(valuation(c, p) for c in scaled if c != 0)
-        hbar = _fp_trim([_mod_reduce(c / Fraction(p) ** vmin, p) for c in scaled])
+        hbar = poly_trim([_mod_reduce(c / Fraction(p) ** vmin, p) for c in scaled])
         if len(hbar) - 1 != d:
             raise UndeterminedError("scaled reduction degenerated; root outside splitting disk")
         small_count = next(i for i, c in enumerate(hbar) if c != 0)

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DomainError, UndeterminedError, divisors, factorize, is_prime,
+from .exact import (DomainError, UndeterminedError, divisors, is_prime, prime_support,
                     valuation)
 from .places import FIELD_Q, FIELD_QT
-from .qpoly import QPoly, RatFunc, format_tpoly, irreducible_factors
+from .qpoly import (QPoly, RatFunc, format_tpoly, irreducible_factors, poly_add,
+                    poly_derivative, poly_horner, poly_mul, poly_shift, poly_trim)
 
 
 class ParseError(DomainError):
@@ -36,13 +37,9 @@ class Poly:
 
     def __init__(self, coeffs, field: str = FIELD_Q):
         if field == FIELD_QT:
-            cs = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
-            while cs and cs[-1].is_zero():
-                cs.pop()
+            cs = poly_trim([c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs])
         else:
-            cs = [Fraction(c) for c in coeffs]
-            while cs and cs[-1] == 0:
-                cs.pop()
+            cs = poly_trim([Fraction(c) for c in coeffs])
         if len(cs) - 1 < 2:
             raise DomainError("dynamical polynomial needs degree >= 2")
         self.coeffs = tuple(cs)
@@ -74,14 +71,10 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __call__(self, z):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * z + c
-        return acc
+        return poly_horner(self.coeffs, z)
 
     def derivative_coeffs(self):
-        return [i * c if not isinstance(c, RatFunc) else c * i
-                for i, c in enumerate(self.coeffs)][1:]
+        return poly_derivative(self.coeffs)
 
     def derivative_qpoly(self) -> QPoly:
         if self.field == FIELD_QT:
@@ -112,36 +105,22 @@ def iterate(f: Poly, z, n: int) -> list:
 
 
 def conjugate(f: Poly, a, b) -> Poly:
-    """mu o f o mu^{-1} for mu(z) = a z + b; degree is preserved."""
+    """mu o f o mu^{-1} for mu(z) = a z + b; degree is preserved.
+
+    f((z - b)/a) is f with its coefficients scaled by powers of 1/a, then
+    Taylor-shifted by -b; applying mu to that gives the conjugate.
+    """
     if f.field == FIELD_QT:
         a = a if isinstance(a, RatFunc) else RatFunc.const(a)
         b = b if isinstance(b, RatFunc) else RatFunc.const(b)
-        zero, one = RatFunc.const(0), RatFunc.const(1)
-        if a.is_zero():
-            raise DomainError("conjugation needs a != 0")
     else:
         a, b = Fraction(a), Fraction(b)
-        zero, one = Fraction(0), Fraction(1)
-        if a == 0:
-            raise DomainError("conjugation needs a != 0")
-    # f((z - b)/a) evaluated with polynomial coefficient lists, then a*( ) + b
-    inv = ([-b / a, one / a])  # (z - b)/a as a linear polynomial in z
-    acc = [zero]
-    for c in reversed(f.coeffs):
-        acc = _poly_mul_linear(acc, inv, zero)
-        acc[0] = acc[0] + c
-    out = [a * c for c in acc]
-    out[0] = out[0] + b
+    if not a:
+        raise DomainError("conjugation needs a != 0")
+    inv = a ** -1
+    out = [a * c for c in poly_shift([c * inv ** i for i, c in enumerate(f.coeffs)], -b)]
+    out[0] += b
     return Poly(out, f.field)
-
-
-def _poly_mul_linear(poly_coeffs, lin, zero):
-    c0, c1 = lin
-    out = [zero] * (len(poly_coeffs) + 1)
-    for i, c in enumerate(poly_coeffs):
-        out[i] = out[i] + c * c0
-        out[i + 1] = out[i + 1] + c * c1
-    return out
 
 
 def center(f: Poly) -> tuple[Poly, object]:
@@ -151,11 +130,7 @@ def center(f: Poly) -> tuple[Poly, object]:
     """
     if not f.is_monic():
         raise DomainError("centering needs a monic polynomial")
-    d = f.degree
-    if f.field == FIELD_QT:
-        shift = f[d - 1] * Fraction(1, d)
-    else:
-        shift = f[d - 1] / d
+    shift = f[f.degree - 1] * Fraction(1, f.degree)
     return conjugate(f, 1, shift), shift
 
 
@@ -173,10 +148,6 @@ _TOKEN_OPS = set("+-*/^()")
 _MAX_EXPONENT = 10_000
 _MAX_POWER_TERMS = 257
 _MAX_POWER_BITS = 100_000
-
-
-def _is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, RatFunc) else c == 0
 
 
 def _t_degree(c) -> int:
@@ -257,7 +228,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             w = self.term()
-            v = self._add(v, w) if op == "+" else self._add(v, self._neg(w))
+            v = poly_add(v, w if op == "+" else self._neg(w))
         return v
 
     def term(self):
@@ -267,10 +238,10 @@ class _Parser:
             if t[0] in ("*", "/"):
                 op = self.next()[0]
                 w = self.unary()
-                v = self._mul(v, w) if op == "*" else self._div(v, w, t[2])
+                v = poly_mul(v, w) if op == "*" else self._div(v, w, t[2])
             elif t[0] in ("int", "name", "("):
                 w = self.unary()  # juxtaposition means multiplication
-                v = self._mul(v, w)
+                v = poly_mul(v, w)
             else:
                 return v
 
@@ -311,37 +282,21 @@ class _Parser:
             return v
         raise ParseError(f"unexpected {t[1]!r}", t[2])
 
-    # coefficient-list algebra
-
-    def _add(self, a, b):
-        n = max(len(a), len(b))
-        z = self._zero()
-        return [(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)]
+    # coefficient-list algebra: poly_add and poly_mul, plus these
 
     def _neg(self, a):
         return [-c for c in a]
 
-    def _mul(self, a, b):
-        z = self._zero()
-        out = [z] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if _is_zero(c):
-                continue
-            for j, d in enumerate(b):
-                if not _is_zero(d):
-                    out[i + j] = out[i + j] + c * d
-        return self._trim(out)
-
     def _div(self, a, b, pos):
-        if len(self._trim(b)) > 1:
+        b = poly_trim(b)
+        if len(b) > 1:
             raise ParseError("division by an expression involving z", pos)
-        c = b[0]
-        if _is_zero(c):
+        if not b:
             raise ParseError("division by zero", pos)
-        return [x / c for x in a]
+        return [x / b[0] for x in a]
 
     def _pow(self, a, e, pos):
-        a = self._trim(a)
+        a = poly_trim(a) or [self._zero()]
         n = abs(e)
         if n > _MAX_EXPONENT:
             raise ParseError(f"exponent {e} exceeds the cap of {_MAX_EXPONENT}", pos)
@@ -357,7 +312,7 @@ class _Parser:
                              f"cap of {_MAX_POWER_BITS} bits", pos)
         if len(a) == 1:
             c = a[0]
-            if e < 0 and _is_zero(c):
+            if e < 0 and not c:
                 raise ParseError("zero to a negative power", pos)
             return [c ** e]
         if e < 0:
@@ -365,17 +320,11 @@ class _Parser:
         out = [self._const(1)]
         while e:
             if e & 1:
-                out = self._mul(out, a)
+                out = poly_mul(out, a)
             e >>= 1
             if e:
-                a = self._mul(a, a)
+                a = poly_mul(a, a)
         return out
-
-    def _trim(self, a):
-        a = list(a)
-        while len(a) > 1 and _is_zero(a[-1]):
-            a.pop()
-        return a
 
 
 def parse_poly(text: str, field: str = FIELD_Q) -> Poly:
@@ -391,10 +340,9 @@ def parse_poly(text: str, field: str = FIELD_Q) -> Poly:
 
 def parse_ground(text: str, field: str = FIELD_Q):
     """Parse a ground-field element (no z allowed)."""
-    coeffs = _Parser(text, field).parse()
-    trimmed = [c for i, c in enumerate(coeffs)
-               if i > 0 and not _is_zero(c)]
-    if trimmed:
+    parser = _Parser(text, field)
+    coeffs = poly_trim(parser.parse()) or [parser._zero()]
+    if len(coeffs) > 1:
         raise DomainError("expected a constant expression without z")
     return coeffs[0]
 
@@ -417,14 +365,12 @@ def print_poly(f: Poly) -> str:
     parts: list[str] = []
     for i in range(f.degree, -1, -1):
         c = f[i]
+        if not c:
+            continue
         if f.field == FIELD_QT:
-            if c.is_zero():
-                continue
             body = _monomial(_fmt_qt_coeff(c), i, always_coeff=True)
             sign = "+"
         else:
-            if c == 0:
-                continue
             sign = "-" if c < 0 else "+"
             body = _monomial(_fmt_q_coeff(abs(c)), i, always_coeff=False)
         if not parts:
@@ -527,15 +473,8 @@ def candidate_bad_primes(f: Poly) -> list[int]:
     """
     if f.field != FIELD_Q:
         raise DomainError("bad primes are computed over Q")
-    primes: set[int] = set()
-    for c in f.coeffs:
-        if c.denominator > 1:
-            primes.update(q for q, _ in factorize(c.denominator))
-    for n in (f.lc.numerator, f.lc.denominator):
-        if abs(n) > 1:
-            primes.update(q for q, _ in factorize(n))
-    primes.update(q for q in range(2, f.degree + 1) if is_prime(q))
-    return sorted(primes)
+    primes = prime_support(*(c.denominator for c in f.coeffs), f.lc.numerator)
+    return sorted({*primes, *(q for q in range(2, f.degree + 1) if is_prime(q))})
 
 
 def _search_box(f: Poly):

@@ -218,6 +218,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
+def prime_support(*rationals) -> list[int]:
+    """Ascending primes dividing the numerator or denominator of some argument.
+
+    The numbers are factored in argument order, numerator first, so a
+    factorization that exceeds the rho budget is the first such one.
+    """
+    primes: set[int] = set()
+    for x in map(Fraction, rationals):
+        for n in (x.numerator, x.denominator):
+            if abs(n) > 1:
+                primes.update(p for p, _ in factorize(n))
+    return sorted(primes)
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     divs = [1]

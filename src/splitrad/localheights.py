@@ -18,13 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DomainError, LogValue, UndeterminedError, factorize,
+from .exact import (DomainError, LogValue, UndeterminedError, prime_support,
                     is_prime, valuation)
 from .dynamics import (Poly, candidate_bad_primes, center, critical_points,
                        escape_exponent)
 from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
-from .qpoly import QPoly
+from .qpoly import QPoly, poly_horner
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,7 @@ def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
     for _ in range(refine):
         moved = 0.0
         for k in range(n):
-            num = _ceval(cs, ws[k])
+            num = poly_horner(cs, ws[k])
             den = 1.0 + 0j
             for j in range(n):
                 if j != k:
@@ -413,13 +413,6 @@ def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
             if abs(ws[i] - ws[j]) <= (radii[i] + radii[j]) * (1 + 1e-9):
                 raise UndeterminedError("complex root enclosures overlap; roots too close to certify")
     return boxes
-
-
-def _ceval(cs: list[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +516,7 @@ def canonical_height(f: Poly, z, tol: float = 1e-9, nonarch_maxiter: int = 30,
     if f.field != FIELD_Q:
         raise DomainError("canonical heights run over Q")
     z = Fraction(z)
-    primes = set(candidate_bad_primes(f))
-    if z.denominator > 1:
-        primes.update(q for q, _ in factorize(z.denominator))
+    primes = set(candidate_bad_primes(f)).union(prime_support(z.denominator))
     total = escape_rate_arch(f, z, tol, maxiter=arch_maxiter)
     for p in sorted(primes):
         total = total + escape_rate_nonarch(f, p, z, maxiter=nonarch_maxiter)

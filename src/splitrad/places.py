@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import DomainError, INFINITY, LogValue, factorize, is_prime, valuation
+from .exact import DomainError, INFINITY, LogValue, is_prime, prime_support, valuation
 from .qpoly import QPoly, RatFunc, format_tpoly, irreducible_factors
 
 FIELD_Q = "Q"
@@ -190,20 +190,15 @@ class ProjectivePoint:
             raise DomainError("projective point needs at least 2 coordinates")
         if field == FIELD_QT:
             coords = tuple(c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coords)
-            if all(c.is_zero() for c in coords):
-                raise DomainError("projective point cannot be all zero")
         else:
             coords = tuple(Fraction(c) for c in coords)
-            if all(c == 0 for c in coords):
-                raise DomainError("projective point cannot be all zero")
+        if not any(coords):
+            raise DomainError("projective point cannot be all zero")
         self.coords = coords
         self.field = field
 
-    def _is_zero(self, c) -> bool:
-        return c.is_zero() if isinstance(c, RatFunc) else c == 0
-
     def all_nonzero(self) -> bool:
-        return not any(self._is_zero(c) for c in self.coords)
+        return all(self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectivePoint) or other.field != self.field:
@@ -212,7 +207,7 @@ class ProjectivePoint:
             return False
         lam = None
         for a, b in zip(self.coords, other.coords):
-            az, bz = self._is_zero(a), self._is_zero(b)
+            az, bz = not a, not b
             if az != bz:
                 return False
             if az:
@@ -236,12 +231,7 @@ def _candidate_finite_places(P: ProjectivePoint) -> list[Place]:
                 for pi, _ in irreducible_factors(part):
                     pis.add(pi)
         return [Place.finite_poly(pi) for pi in sorted(pis, key=lambda q: (q.degree(), q.coeffs))]
-    primes: set[int] = set()
-    for c in P.coords:
-        for n in (c.numerator, c.denominator):
-            if abs(n) > 1:
-                primes.update(p for p, _ in factorize(n))
-    return [Place.finite(p) for p in sorted(primes)]
+    return [Place.finite(p) for p in prime_support(*P.coords)]
 
 
 def support(P: ProjectivePoint) -> set[Place]:
@@ -307,8 +297,6 @@ def product_formula_check(x) -> LogValue:
     if x == 0:
         raise DomainError("product formula needs x != 0")
     total = local_abs_log(x, Place.arch())
-    for n in (x.numerator, x.denominator):
-        if abs(n) > 1:
-            for p, _ in factorize(n):
-                total = total + local_abs_log(x, Place.finite(p))
+    for p in prime_support(x):
+        total = total + local_abs_log(x, Place.finite(p))
     return total

@@ -1,14 +1,21 @@
 """Dense univariate polynomials over Q and the rational function field Q(t).
 
-QPoly is the workhorse for everything exact: gcds, Taylor shifts, rational
-roots, and power sums of roots (Newton's identities) to build polynomials
-from the images or differences of roots.  RatFunc wraps a reduced
-num/den pair and provides the valuations that make Q(t) a product-formula
-field (finite places = monic irreducibles, plus the degree valuation at
-t = infinity).  Rational roots come from integer brackets of the real
-roots (bisection on monotone pieces), so no divisor of a coefficient is
-ever enumerated; irreducible_factors splits off the linear factors itself
-and imports sympy only for a rest of degree >= 4.
+Every polynomial layer of splitrad runs on one kernel of module-level
+routines over coefficient lists, lowest degree first: poly_trim, poly_add,
+poly_mul, poly_divmod, poly_monic, poly_gcd (monic), poly_derivative,
+poly_powmod (modulo a polynomial), poly_horner and poly_shift (Taylor
+shift).  An optional prime modulus p makes them work over F_p on integer
+lists; without it they work over Q on Fractions, and add, mul, Horner and
+shift work over any ring whose elements mix with their argument (int,
+Fraction, RatFunc, complex).  QPoly wraps the kernel over Q and adds
+rational roots and power sums of roots (Newton's identities), which build
+polynomials from the images or differences of roots.  RatFunc wraps a
+reduced num/den pair and provides the valuations that make Q(t) a
+product-formula field (finite places = monic irreducibles, plus the degree
+valuation at t = infinity).  Rational roots come from integer brackets of
+the real roots (bisection on monotone pieces), so no divisor of a
+coefficient is ever enumerated; irreducible_factors splits off the linear
+factors itself and imports sympy only for a rest of degree >= 4.
 """
 
 from __future__ import annotations
@@ -20,16 +27,110 @@ from functools import lru_cache
 from .exact import INFINITY
 
 
+# ---------------------------------------------------------------------------
+# the coefficient-list kernel
+# ---------------------------------------------------------------------------
+
+def poly_trim(a: list) -> list:
+    """Drop the zero leading coefficients of a, in place; returns a."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _reduce(a: list, p: int | None) -> list:
+    return poly_trim([c % p for c in a] if p else a)
+
+
+def poly_add(a, b, p: int | None = None) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _reduce([x + y for x, y in zip(a, b)] + list(a[len(b):]), p)
+
+
+def poly_mul(a, b, p: int | None = None) -> list:
+    if not a or not b:
+        return []
+    out = [0 * a[0]] * (len(a) + len(b) - 1)  # the coefficients' own zero
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return _reduce(out, p)
+
+
+def poly_divmod(a, b, p: int | None = None) -> tuple[list, list]:
+    """(quotient, remainder) of a by a trimmed nonzero b."""
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p) if p else None
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] * inv % p if p else rem[k + db] / b[-1]
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    return _reduce(quot, p), _reduce(rem[:db], p)
+
+
+def poly_monic(a, p: int | None = None) -> list:
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p) if p else 1 / a[-1]
+    return _reduce([c * inv for c in a], p)
+
+
+def poly_gcd(a, b, p: int | None = None) -> list:
+    """Monic gcd; [] when a and b are both zero."""
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    return poly_monic(a, p)
+
+
+def poly_derivative(a, p: int | None = None) -> list:
+    return _reduce([i * a[i] for i in range(1, len(a))], p)
+
+
+def poly_powmod(a, e: int, m, p: int | None = None) -> list:
+    """a^e modulo the nonzero m, by repeated squaring."""
+    result = [1]
+    base = poly_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod(poly_mul(result, base, p), m, p)[1]
+        base = poly_divmod(poly_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+def poly_horner(a, x):
+    """a(x) for a nonempty a, by Horner's rule from the leading coefficient."""
+    acc = a[-1]
+    for c in a[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def poly_shift(a, x) -> list:
+    """The coefficients of a(X + x), by repeated synthetic division."""
+    cs = list(a)
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] += x * cs[j + 1]
+    return cs
+
+
 class QPoly:
     """Polynomial with Fraction coefficients, lowest degree first."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(poly_trim([Fraction(c) for c in coeffs]))
 
     @classmethod
     def const(cls, c) -> "QPoly":
@@ -47,9 +148,7 @@ class QPoly:
         return len(self.coeffs) - 1
 
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self[self.degree()]
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
@@ -60,9 +159,12 @@ class QPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self[i] + other[i] for i in range(n)])
+    def __add__(self, other) -> "QPoly":
+        """Sum with a QPoly or a rational scalar."""
+        return QPoly(poly_add(self.coeffs, [other] if isinstance(other, (int, Fraction))
+                              else other.coeffs))
+
+    __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
         return QPoly([-c for c in self.coeffs])
@@ -73,19 +175,13 @@ class QPoly:
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
             return QPoly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return QPoly(out)
+        return QPoly(poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QPoly":
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
         result = QPoly.const(1)
         base = self
         while e:
@@ -98,19 +194,8 @@ class QPoly:
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return QPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        olc = other.lc()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] / olc
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return QPoly(quot), QPoly(rem)
+        q, r = poly_divmod(self.coeffs, other.coeffs)
+        return QPoly(q), QPoly(r)
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
@@ -122,39 +207,21 @@ class QPoly:
         return q
 
     def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        return self * (1 / self.lc())
+        return QPoly(poly_monic(self.coeffs))
 
     def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return QPoly(poly_derivative(self.coeffs))
 
     def eval(self, x):
         """Horner evaluation; x may be a Fraction, RatFunc, QPoly, float or complex."""
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = _lift(c, x)
-            else:
-                acc = acc * x + _lift(c, x)
-        if acc is None:
-            return _lift(Fraction(0), x)
-        return acc
+        return poly_horner(self.coeffs, x) if self.degree() > 0 else self[0] + 0 * x
 
     def shift(self, a: Fraction) -> "QPoly":
         """Taylor shift: returns p(x + a)."""
-        cs = list(self.coeffs)
-        n = len(cs)
-        for i in range(n - 1):  # synthetic division by (x - (-a)), repeatedly
-            for j in range(n - 2, i - 1, -1):
-                cs[j] += a * cs[j + 1]
-        return QPoly(cs)
+        return QPoly(poly_shift(self.coeffs, a))
 
     def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return QPoly(poly_gcd(self.coeffs, other.coeffs))
 
     def power_sums(self, n: int) -> list[Fraction]:
         """[p_0, ..., p_n]: p_k is the sum of the k-th powers of the roots (Newton's identities)."""
@@ -210,7 +277,7 @@ class QPoly:
         for y in sorted({e for lo in _root_brackets(q) for e in (lo, lo + 1)}):
             if p.degree() <= 0:
                 break
-            if _int_eval(q, y) != 0:
+            if poly_horner(q, y) != 0:
                 continue
             cand = Fraction(y, an)
             mult = 0
@@ -222,13 +289,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({format_tpoly(self)})"
-
-
-def _int_eval(c: list[int], x: int) -> int:
-    acc = 0
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
 
 
 def _root_brackets(c: list[int]) -> list[int]:
@@ -244,38 +304,24 @@ def _root_brackets(c: list[int]) -> list[int]:
     if len(c) == 2:
         return [-c[0] // c[1]]
     bound = 2 + max(abs(a) for a in c[:-1]) // abs(c[-1])
-    crit = _root_brackets([i * a for i, a in enumerate(c)][1:])
+    crit = _root_brackets(poly_derivative(c))
     out = set(crit)
     ends = [-bound] + [e for lo in crit for e in (lo, lo + 1)] + [bound]
     for a, b in zip(ends[::2], ends[1::2]):
         if a >= b:
             continue
-        sa = _int_eval(c, a)
-        if sa * _int_eval(c, b) > 0:
+        sa = poly_horner(c, a)
+        if sa * poly_horner(c, b) > 0:
             continue
         while b - a > 1:
             m = (a + b) // 2
-            sm = _int_eval(c, m)
+            sm = poly_horner(c, m)
             if sa * sm > 0:
                 a, sa = m, sm
             else:
                 b = m
         out.add(a)
     return sorted(out)
-
-
-def _lift(c: Fraction, x):
-    if isinstance(x, (Fraction, int)):
-        return c
-    if isinstance(x, RatFunc):
-        return RatFunc.const(c)
-    if isinstance(x, QPoly):
-        return QPoly.const(c)
-    if isinstance(x, complex):
-        return complex(c)
-    if isinstance(x, float):
-        return float(c)
-    return c
 
 
 @lru_cache(maxsize=4096)
@@ -375,11 +421,16 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den.degree() <= 0
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
-    def __add__(self, other: "RatFunc") -> "RatFunc":
+    def __add__(self, other) -> "RatFunc":
+        """Sum with a RatFunc or a rational scalar."""
+        if not isinstance(other, RatFunc):
+            return RatFunc(self.num + self.den * other, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DomainError, INFINITY, LogValue, UndeterminedError,
-                    factorize, valuation)
+                    prime_support, valuation)
 from .berkovich import (annulus_mass, annulus_membership_in_chain,
                         AnnulusPosition, inner_disk_chain, wing_clusters)
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
@@ -23,7 +23,6 @@ from .intervals import Interval
 from .localheights import (critical_height_global, critical_height_local,
                            splitting_exponent)
 from .places import FIELD_Q, Place, ProjectivePoint, naive_height, radical
-from .qpoly import RatFunc
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +207,7 @@ def epsilon_good_sum(f: Poly, alpha, tol: float = 1e-9) -> LogValue:
         raise DomainError("alpha must be nonzero")
     d = f.degree
     total = -LogValue.log_abs(alpha)  # archimedean term, exact
-    rel: set[int] = set()
-    for nint in (alpha.numerator, alpha.denominator):
-        if abs(nint) > 1:
-            rel.update(q for q, _ in factorize(nint))
-    for q in sorted(rel):
+    for q in prime_support(alpha):
         if q <= d or _place_is_good(f, q):
             total = total + LogValue.from_log(q, valuation(alpha, q))
     return total
@@ -251,13 +246,8 @@ class PairMomentResult:
 
 
 def _pair_term(zi: Fraction, zj: Fraction, d: int) -> LogValue:
-    rel: set[int] = set()
-    for z in (zi, zj):
-        for nint in (z.numerator, z.denominator):
-            if abs(nint) > 1:
-                rel.update(q for q, _ in factorize(nint))
     out = LogValue.zero()
-    for q in sorted(rel):
+    for q in prime_support(zi, zj):
         if q <= d:
             continue
         m = min(valuation(zi, q), valuation(zj, q))
@@ -310,9 +300,7 @@ class AbcTriple:
         if not pt.all_nonzero():
             raise DomainError("abc triple needs nonzero coordinates")
         a, b, c = pt.coords
-        total = a + b + c
-        is_zero = total.is_zero() if isinstance(total, RatFunc) else total == 0
-        if not is_zero:
+        if a + b + c:
             raise DomainError("abc triple must satisfy z1 + z2 + z3 = 0")
         self.point = pt
 
