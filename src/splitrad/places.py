@@ -297,6 +297,6 @@ def product_formula_check(x) -> LogValue:
     if x == 0:
         raise DomainError("product formula needs x != 0")
     total = local_abs_log(x, Place.arch())
-    for p in prime_support(x):
+    for p in sorted(total.logs):  # log|x| has factored x: its primes are the finite places
         total = total + local_abs_log(x, Place.finite(p))
     return total

@@ -1,11 +1,12 @@
+import cmath
 import math
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from splitrad.intervals import CBox, Interval, horner, horner_centered
+from splitrad.intervals import CBox, Interval, horner, horner_centered, taylor_enclosures
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 widths = st.fractions(min_value=0, max_value=2, max_denominator=12)
@@ -170,3 +171,125 @@ def test_huge_rationals_are_enclosed():
     assert Interval(0.0, INF).contains(big) and not Interval(-INF, 0.0).contains(big)
     assert Interval(-INF, 1.0).contains(F(1)) and not Interval(-INF, 1.0).contains(F(1) + F(1, 10 ** 30))
     assert not Interval(INF, INF).contains(big) and not Interval(-INF, -INF).contains(-big)
+
+
+# The evaluators as they were before they ran on float pairs: one Interval or
+# CBox per operation, through the reference formulas above.  The float-pair
+# kernels must give the same endpoints (sign of zero included) and raise the
+# same errors.
+
+def ref_cadd(z, w):
+    return CBox(ref_add(z.re, w.re), ref_add(z.im, w.im))
+
+
+def ref_cmul(z, w):
+    return CBox(ref_sub(ref_mul(z.re, w.re), ref_mul(z.im, w.im)),
+                ref_add(ref_mul(z.re, w.im), ref_mul(z.im, w.re)))
+
+
+def ref_ops(x):
+    return (ref_add, ref_mul) if isinstance(x, Interval) else (ref_cadd, ref_cmul)
+
+
+def ref_horner(coeffs, x):
+    add, mul = ref_ops(x)
+    rest = reversed(coeffs)
+    acc = x.enclose(next(rest, 0))
+    for c in rest:
+        acc = add(mul(acc, x), x.enclose(c))
+    return acc
+
+
+def ref_taylor(coeffs, m):
+    add, mul = ref_ops(m)
+    cs = [m.enclose(c) for c in coeffs]
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] = add(cs[j], mul(m, cs[j + 1]))
+    return cs
+
+
+def ref_horner_centered(coeffs, x, rows=None):
+    m = x.mid
+    if not cmath.isfinite(m) or x.span == 0.0:
+        return ref_horner(coeffs, x)
+    if isinstance(x, Interval):
+        shifted = ref_sub(x, Interval.point(m))
+    else:
+        shifted = CBox(ref_sub(x.re, Interval.point(m.real)), ref_sub(x.im, Interval.point(m.imag)))
+    if rows is None:
+        return ref_horner(ref_taylor(coeffs, x.point(m)), shifted)
+    t = rows.get(m)
+    if t is None:
+        t = rows[m] = ref_taylor(coeffs, x.point(m))
+    return ref_horner(t, shifted)
+
+
+def bits(v):
+    """Endpoints in hex (which tells -0.0 from 0.0) of an enclosure, its float form or a list."""
+    if isinstance(v, list):
+        return [bits(u) for u in v]
+    if isinstance(v, (Interval, CBox)):
+        v = v.pair
+    if isinstance(v[0], tuple):
+        return bits(v[0]), bits(v[1])
+    return v[0].hex(), v[1].hex()
+
+
+def result(fn, *args):
+    try:
+        return bits(fn(*args))
+    except ValueError as e:
+        return type(e), str(e)
+
+
+special = st.sampled_from(SPECIAL)
+intervals = st.builds(lambda a, b: Interval(min(a, b), max(a, b)), special, special)
+boxes = st.builds(CBox, intervals, intervals)
+exact_coeffs = st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4,
+                                                          max_denominator=12))
+
+
+def kernels_agree(coeffs, x):
+    assert result(horner, coeffs, x) == result(ref_horner, coeffs, x)
+    m = x.point(x.mid)  # never NaN; may be infinite
+    assert result(taylor_enclosures, coeffs, m) == result(ref_taylor, coeffs, m)
+    assert result(horner_centered, coeffs, x) == result(ref_horner_centered, coeffs, x)
+    # a shared rows dict: the same ball twice, then a wider ball about the same centre
+    rows, ref_rows = {}, {}
+    for y in (x, x, x.ball(x.mid, 2.0)):
+        assert (result(horner_centered, coeffs, y, rows)
+                == result(ref_horner_centered, coeffs, y, ref_rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(intervals, exact_coeffs), max_size=5), intervals)
+@example([Interval(INF, INF), Interval(-INF, -INF)], Interval.point(1.0))  # inf - inf
+@example([Interval(0.0, 1.0), Interval(-INF, INF)], Interval(0.0, INF))  # 0*inf
+@example([F(2), F(0), F(1)], Interval.point(1.0))                   # x = 1, a zero coefficient
+@example([F(2), F(3), F(1)], Interval(-0.0, 0.0))                   # x = 0
+@example([Interval(-0.0, -0.0), F(1)], Interval(-1.0, 1.0))         # the sign of a zero sum
+def test_real_kernels_match_reference(coeffs, x):
+    kernels_agree(coeffs, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(boxes, exact_coeffs), max_size=4), boxes)
+@example([CBox(Interval(INF, INF), Interval(0.0, 1.0)), F(-1)],
+         CBox(Interval(INF, INF), Interval(0.0, 0.0)))
+@example([F(1), F(1), F(1)], CBox(Interval(0.0, 1.0), Interval(-INF, 0.0)))
+@example([CBox(Interval(-0.0, -0.0), Interval(-0.0, 0.0)), F(1)],
+         CBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0)))
+def test_complex_kernels_match_reference(coeffs, z):
+    kernels_agree(coeffs, z)
+
+
+def test_reference_paths_are_reached():
+    """The examples above reach the error path and the 0*inf rule."""
+    assert result(ref_horner, [Interval(INF, INF), Interval(-INF, -INF)],
+                  Interval.point(1.0))[0] is ValueError
+    assert result(ref_horner, [CBox(Interval(INF, INF), Interval(0.0, 1.0)), F(-1)],
+                  CBox(Interval(INF, INF), Interval(0.0, 0.0)))[0] is ValueError
+    assert ref_horner([Interval(0.0, 1.0), Interval(-INF, INF)], Interval(0.0, INF)) == \
+        Interval(-INF, INF)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from splitrad import exact
 from splitrad.exact import DomainError, LogValue
 from splitrad.places import (FIELD_QT, Place, ProjectivePoint,
                              naive_height, places_below,
@@ -51,6 +52,20 @@ def test_product_formula_examples():
         assert v.err.contains_zero()
     v = product_formula_check(T - ONE)
     assert v.is_exactly_zero()
+
+
+def test_product_formula_factors_once(monkeypatch):
+    seen = []
+    factorize = exact.factorize
+
+    def spy(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(exact, "factorize", spy)
+    v = product_formula_check(F(6, 35))
+    assert sorted(seen) == [6, 35]  # each of numerator and denominator once
+    assert v.is_formally_zero()
 
 
 def _random_rational(rng):
