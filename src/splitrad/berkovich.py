@@ -84,14 +84,12 @@ def _check_chain_preconditions(f: Poly, p: int) -> Fraction:
     return g
 
 
-def _gauss_solve(f: Poly, p: int, target: Fraction) -> Fraction:
-    """Largest t with max_{i>=1}(i t - v_p(a_i)) <= target (exact piecewise-linear solve)."""
-    best = None
-    for i in range(1, f.degree + 1):
-        if f[i] != 0:
-            cand = (target + valuation(f[i], p)) / i
-            best = cand if best is None else min(best, cand)
-    return best
+def _gauss_solve(coeffs, p: int, target: Fraction) -> Fraction:
+    """Largest t with max_{i>=1}(i t - v_p(a_i)) <= target (exact piecewise-linear solve).
+
+    coeffs are a_0, a_1, ...; a_0 does not enter, and some a_i with i >= 1 is nonzero.
+    """
+    return min((target + valuation(c, p)) / i for i, c in enumerate(coeffs) if i and c)
 
 
 def inner_disk_chain(f: Poly, p: int, depth: int) -> DiskChain:
@@ -107,7 +105,7 @@ def inner_disk_chain(f: Poly, p: int, depth: int) -> DiskChain:
     ts: list[Fraction] = []
     target = g
     for _ in range(depth + 1):
-        t = _gauss_solve(f, p, target)
+        t = _gauss_solve(f.coeffs, p, target)
         ts.append(t)
         target = t
     levels = []
@@ -271,22 +269,12 @@ class WingClusters:
             f"point {z} lies in the level-1 preimage but matches no rational-center cluster")
 
 
-def _component_radius(fq: QPoly, root: Fraction, p: int, g: Fraction) -> Fraction:
-    """log_p radius of the level-1 component around a root of f."""
-    shifted = fq.shift(root)
-    best = None
-    for j in range(1, shifted.degree() + 1):
-        cj = shifted[j]
-        if cj != 0:
-            cand = (g + valuation(cj, p)) / j
-            best = cand if best is None else min(best, cand)
-    return best
-
-
 def _count_components(f: Poly, p: int, g: Fraction,
                       members: list[tuple[Fraction, int]]) -> int:
     fq = f.as_qpoly()
-    radii = [_component_radius(fq, r, p, g) for r, _ in members]
+    # log_p radius of the level-1 component around each root: the Gauss-norm
+    # solve on the Taylor coefficients of f at the root
+    radii = [_gauss_solve(fq.shift(r).coeffs, p, g) for r, _ in members]
     n = len(members)
     parent = list(range(n))
 
@@ -434,7 +422,7 @@ def hsia_energy(points, v) -> LogValue:
     """
     if isinstance(v, int):
         v = Place.finite(v)
-    if not v.is_finite() or v.kind != Place.FINITE:
+    if v.kind != Place.FINITE:
         raise DomainError("Hsia energy needs a finite place of Q")
     pts = [Fraction(z) for z in points]
     n = len(pts)

@@ -33,7 +33,6 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Validated run parameters shared by the subcommands."""
 
-    field: str = "Q"
     tol: float = 1e-9
     nonarch_maxiter: int = 30
     arch_maxiter: int = 400
@@ -41,7 +40,6 @@ class RunConfig:
     m0: int = 1
     eps: Fraction = Fraction(1, 2)
     grid: int = 600
-    out: str | None = None
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -145,15 +143,6 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _cfg_value(args, cfg, key, default, cast):
-    v = getattr(args, key, None)
-    if v is not None:
-        return cast(v) if not isinstance(v, (int, float)) else v
-    if key in cfg:
-        return cast(cfg[key])
-    return default
-
-
 _NATURAL_FORMAT = {
     "analyze": "json", "hcrit": "json", "canonical-height": "json",
     "preperiodic": "json", "disk-chain": "csv", "wings": "json",
@@ -162,18 +151,22 @@ _NATURAL_FORMAT = {
 }
 
 
+# RunConfig fields a --config file may set, with the type each value is read
+# as; the two maxiter caps have no flag.
+_CONFIG_CASTS = {"tol": float, "nonarch_maxiter": int, "arch_maxiter": int, "depth": int,
+                 "m0": int, "eps": Fraction, "grid": int}
+
+
 def _build_config(args, cfg) -> RunConfig:
-    return RunConfig(
-        field=getattr(args, "field", "Q"),
-        tol=_cfg_value(args, cfg, "tol", 1e-9, float),
-        nonarch_maxiter=int(cfg.get("nonarch_maxiter", 30)),
-        arch_maxiter=int(cfg.get("arch_maxiter", 400)),
-        depth=_cfg_value(args, cfg, "depth", 6, int),
-        m0=_cfg_value(args, cfg, "m0", 1, int),
-        eps=Fraction(_cfg_value(args, cfg, "eps", "1/2", str)),
-        grid=_cfg_value(args, cfg, "grid", 600, int),
-        out=args.out,
-    )
+    """A flag wins over the --config value, which wins over RunConfig's default."""
+    given = {}
+    for key, cast in _CONFIG_CASTS.items():
+        v = getattr(args, key, None)
+        if v is None:
+            v = cfg.get(key)
+        if v is not None:
+            given[key] = cast(v)
+    return RunConfig(**given)
 
 
 def _run(args) -> int:

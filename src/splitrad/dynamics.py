@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exact import (DomainError, UndeterminedError, divisors, is_prime, prime_support,
                     valuation)
-from .places import FIELD_Q, FIELD_QT
+from .places import FIELD_Q, FIELD_QT, _ground
 from .qpoly import (QPoly, RatFunc, format_tpoly, irreducible_factors, poly_add,
                     poly_derivative, poly_horner, poly_mul, poly_shift, poly_trim)
 
@@ -30,16 +30,17 @@ class ParseError(DomainError):
 # Poly
 # ---------------------------------------------------------------------------
 
+# The ground field's 1 for is_monic; a Fraction compares fastest with the int.
+_ONE = {FIELD_Q: 1, FIELD_QT: RatFunc.const(1)}
+
+
 class Poly:
     """Dense polynomial a_0..a_d over the ground field, a_d != 0, d >= 2."""
 
     __slots__ = ("coeffs", "field")
 
     def __init__(self, coeffs, field: str = FIELD_Q):
-        if field == FIELD_QT:
-            cs = poly_trim([c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs])
-        else:
-            cs = poly_trim([Fraction(c) for c in coeffs])
+        cs = poly_trim(list(map(_ground(field), coeffs)))
         if len(cs) - 1 < 2:
             raise DomainError("dynamical polynomial needs degree >= 2")
         self.coeffs = tuple(cs)
@@ -54,14 +55,12 @@ class Poly:
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
-        if self.field == FIELD_QT:
-            return self.lc == RatFunc.const(1)
-        return self.lc == 1
+        return self.lc == _ONE[self.field]
 
     def __getitem__(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return RatFunc.const(0) if self.field == FIELD_QT else Fraction(0)
+        return _ground(self.field)(0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.field == other.field
@@ -77,12 +76,10 @@ class Poly:
         return poly_derivative(self.coeffs)
 
     def derivative_qpoly(self) -> QPoly:
-        if self.field == FIELD_QT:
-            raise DomainError("rational-coefficient derivative only over Q")
-        return QPoly(self.coeffs).derivative()
+        return self.as_qpoly().derivative()
 
     def as_qpoly(self) -> QPoly:
-        if self.field == FIELD_QT:
+        if self.field != FIELD_Q:
             raise DomainError("as_qpoly only over Q")
         return QPoly(self.coeffs)
 
@@ -94,11 +91,7 @@ def iterate(f: Poly, z, n: int) -> list:
     """Exact orbit [z, f(z), ..., f^n(z)]."""
     if n < 0:
         raise DomainError("iterate needs n >= 0")
-    if f.field == FIELD_QT and not isinstance(z, RatFunc):
-        z = RatFunc.const(z)
-    elif f.field == FIELD_Q:
-        z = Fraction(z)
-    orbit = [z]
+    orbit = [_ground(f.field)(z)]
     for _ in range(n):
         orbit.append(f(orbit[-1]))
     return orbit
@@ -110,11 +103,7 @@ def conjugate(f: Poly, a, b) -> Poly:
     f((z - b)/a) is f with its coefficients scaled by powers of 1/a, then
     Taylor-shifted by -b; applying mu to that gives the conjugate.
     """
-    if f.field == FIELD_QT:
-        a = a if isinstance(a, RatFunc) else RatFunc.const(a)
-        b = b if isinstance(b, RatFunc) else RatFunc.const(b)
-    else:
-        a, b = Fraction(a), Fraction(b)
+    a, b = map(_ground(f.field), (a, b))
     if not a:
         raise DomainError("conjugation needs a != 0")
     inv = a ** -1
@@ -193,6 +182,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.ground = _ground(field)
 
     def peek(self):
         return self.toks[self.pos]
@@ -209,12 +199,6 @@ class _Parser:
         return t
 
     # value representation: list of ground-field coefficients in z (lowest first)
-
-    def _zero(self):
-        return RatFunc.const(0) if self.field == FIELD_QT else Fraction(0)
-
-    def _const(self, c):
-        return RatFunc.const(c) if self.field == FIELD_QT else Fraction(c)
 
     def parse(self):
         v = self.expr()
@@ -269,10 +253,10 @@ class _Parser:
     def primary(self):
         t = self.next()
         if t[0] == "int":
-            return [self._const(t[1])]
+            return [self.ground(t[1])]
         if t[0] == "name":
             if t[1] == "z":
-                return [self._zero(), self._const(1)]
+                return [self.ground(0), self.ground(1)]
             if self.field != FIELD_QT:
                 raise ParseError("'t' is only allowed over Q(t)", t[2])
             return [RatFunc.t()]
@@ -296,7 +280,7 @@ class _Parser:
         return [x / b[0] for x in a]
 
     def _pow(self, a, e, pos):
-        a = poly_trim(a) or [self._zero()]
+        a = poly_trim(a) or [self.ground(0)]
         n = abs(e)
         if n > _MAX_EXPONENT:
             raise ParseError(f"exponent {e} exceeds the cap of {_MAX_EXPONENT}", pos)
@@ -317,7 +301,7 @@ class _Parser:
             return [c ** e]
         if e < 0:
             raise ParseError("negative power of an expression involving z", pos)
-        out = [self._const(1)]
+        out = [self.ground(1)]
         while e:
             if e & 1:
                 out = poly_mul(out, a)
@@ -341,7 +325,7 @@ def parse_poly(text: str, field: str = FIELD_Q) -> Poly:
 def parse_ground(text: str, field: str = FIELD_Q):
     """Parse a ground-field element (no z allowed)."""
     parser = _Parser(text, field)
-    coeffs = poly_trim(parser.parse()) or [parser._zero()]
+    coeffs = poly_trim(parser.parse()) or [parser.ground(0)]
     if len(coeffs) > 1:
         raise DomainError("expected a constant expression without z")
     return coeffs[0]

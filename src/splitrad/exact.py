@@ -390,15 +390,10 @@ class LogValue:
 
     def certified_leq(self, other: "LogValue"):
         """True/False when decidable, None otherwise."""
-        c = self.compare(other)
-        if c is None:
-            d = (self - other).to_interval()
-            if d.hi <= 0:
-                return True
-            if d.lo > 0:
-                return False
-            return None
-        return c <= 0
+        iv = (self - other).to_interval()
+        if iv.hi <= 0:
+            return True
+        return False if iv.lo > 0 else None
 
     # -- presentation ------------------------------------------------------
 

@@ -315,9 +315,6 @@ class Interval:
             raise ValueError("log of interval touching 0")
         return Interval(_down(_down(math.log(self.lo))), _up(_up(math.log(self.hi))))
 
-    def exp(self) -> "Interval":
-        return Interval(_down(_down(math.exp(self.lo))), _up(_up(math.exp(self.hi))))
-
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 

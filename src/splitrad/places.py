@@ -1,10 +1,12 @@
 """Places of Q and Q(t), naive heights, supports, radicals.
 
-Weight normalization: over Q a finite place p carries N_p = log p (log of
-the residue cardinality) so that the product formula closes against the
-natural-log archimedean term; over Q(t) a finite place pi carries
-N_pi = deg pi and the place at t = infinity carries weight 1.  With these
-weights every identity below is exact on the formal part of a LogValue.
+Every non-archimedean place answers two questions, its weight N_v and the
+valuation v(x), and log|x|_v = -N_v v(x).  Over Q a finite place p carries
+N_p = log p (log of the residue cardinality) so that the product formula
+closes against the natural-log archimedean term.  Over Q(t) a finite place
+pi carries N_pi = deg pi, and t = infinity is an ordinary non-archimedean
+place with valuation deg den - deg num and weight 1.  With these weights
+every identity below is exact on the formal part of a LogValue.
 """
 
 from __future__ import annotations
@@ -70,6 +72,20 @@ class Place:
             return LogValue.from_const(1)
         raise DomainError("archimedean place has no finite weight")
 
+    def valuation(self, x):
+        """v(x) of a ground-field element at a non-archimedean place; v(0) = +inf."""
+        if isinstance(x, RatFunc):
+            if self.kind == Place.FINITE_POLY:
+                return x.valuation_at(self.pi)
+            if self.kind == Place.T_INFINITY:
+                return x.valuation_at_infinity()
+            raise DomainError(f"place {self!r} does not apply to Q(t)")
+        if self.kind == Place.FINITE:
+            return valuation(x, self.p)
+        if self.kind == Place.ARCH:
+            raise DomainError("archimedean place has no valuation")
+        raise DomainError(f"place {self!r} does not apply to Q")
+
     @property
     def r_v(self) -> Fraction:
         return Fraction(1)
@@ -104,33 +120,27 @@ class Place:
             return str(self.p)
         if self.kind == Place.FINITE_POLY:
             return format_tpoly(self.pi)
-        return "arch" if self.kind == Place.ARCH else "t_infinity"
+        return self.kind
 
     def to_json(self) -> dict:
         if self.kind == Place.FINITE:
-            return {"kind": "finite", "p": self.p}
-        if self.kind == Place.ARCH:
-            return {"kind": "arch"}
+            return {"kind": self.kind, "p": self.p}
         if self.kind == Place.FINITE_POLY:
-            return {"kind": "finite_poly", "pi": format_tpoly(self.pi)}
-        return {"kind": "t_infinity"}
+            return {"kind": self.kind, "pi": format_tpoly(self.pi)}
+        return {"kind": self.kind}
 
     @classmethod
     def from_json(cls, data: dict) -> "Place":
         kind = data["kind"]
-        if kind == "finite":
+        if kind == Place.FINITE:
             return cls.finite(int(data["p"]))
-        if kind == "arch":
-            return cls.arch()
-        if kind == "finite_poly":
+        if kind == Place.FINITE_POLY:
             from .dynamics import parse_ground
             val = parse_ground(data["pi"], FIELD_QT)
             if val.den.degree() != 0:
                 raise DomainError("place polynomial must be a polynomial, not a fraction")
             return cls.finite_poly(val.num)
-        if kind == "t_infinity":
-            return cls.t_infinity()
-        raise DomainError(f"unknown place kind {kind!r}")
+        return cls(kind)  # arch, t_infinity, or an unknown kind rejected by __init__
 
 
 def places_below(d: int, field: str = FIELD_Q) -> list[Place]:
@@ -146,33 +156,27 @@ def places_below(d: int, field: str = FIELD_Q) -> list[Place]:
 
 def local_abs_log(x, v: Place) -> LogValue:
     """log|x|_v for a nonzero ground-field element; exact at every place."""
-    if isinstance(x, RatFunc):
-        if x.is_zero():
-            raise DomainError("log|0|_v is undefined")
-        if v.kind == Place.FINITE_POLY:
-            return LogValue.from_const(-x.valuation_at(v.pi) * v.pi.degree())
-        if v.kind == Place.T_INFINITY:
-            return LogValue.from_const(-x.valuation_at_infinity())
-        raise DomainError(f"place {v!r} does not apply to Q(t)")
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, RatFunc):
+        x = Fraction(x)
+    if not x:
         raise DomainError("log|0|_v is undefined")
-    if v.kind == Place.FINITE:
-        return LogValue.from_log(v.p, -valuation(x, v.p))
-    if v.kind == Place.ARCH:
+    if v.kind == Place.ARCH and isinstance(x, Fraction):
         return LogValue.log_abs(x)
-    raise DomainError(f"place {v!r} does not apply to Q")
+    e = -v.valuation(x)  # first: the arch place on Q(t) reports the field, not the weight
+    return v.weight() * e
 
 
-def _coord_valuation(z, v: Place):
-    """v(z) with v(0) = +inf, for support/height computations."""
-    if isinstance(z, RatFunc):
-        if v.kind == Place.FINITE_POLY:
-            return z.valuation_at(v.pi)
-        if v.kind == Place.T_INFINITY:
-            return z.valuation_at_infinity()
-        raise DomainError(f"place {v!r} does not apply to Q(t)")
-    return valuation(Fraction(z), v.p)
+def _as_ratfunc(c) -> RatFunc:
+    return c if isinstance(c, RatFunc) else RatFunc.const(c)
+
+
+def _ground(field: str):
+    """Coercion of a constant into the ground field: Fraction over Q, RatFunc over Q(t)."""
+    if field == FIELD_Q:
+        return Fraction
+    if field == FIELD_QT:
+        return _as_ratfunc
+    raise DomainError(f"unknown field {field!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +192,7 @@ class ProjectivePoint:
         coords = tuple(coords)
         if len(coords) < 2:
             raise DomainError("projective point needs at least 2 coordinates")
-        if field == FIELD_QT:
-            coords = tuple(c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coords)
-        else:
-            coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(_ground(field), coords))
         if not any(coords):
             raise DomainError("projective point cannot be all zero")
         self.coords = coords
@@ -223,49 +224,34 @@ class ProjectivePoint:
         return f"ProjectivePoint({list(self.coords)!r})"
 
 
-def _candidate_finite_places(P: ProjectivePoint) -> list[Place]:
-    if P.field == FIELD_QT:
-        pis: set[QPoly] = set()
-        for c in P.coords:
-            for part in (c.num, c.den):
-                for pi, _ in irreducible_factors(part):
-                    pis.add(pi)
-        return [Place.finite_poly(pi) for pi in sorted(pis, key=lambda q: (q.degree(), q.coeffs))]
-    return [Place.finite(p) for p in prime_support(*P.coords)]
+def _nonarch_places(coords, field: str) -> list[Place]:
+    """Non-archimedean places where some coordinate may not be a unit.
+
+    The primes of the coordinates over Q; their monic irreducibles, then t = infinity, over Q(t).
+    """
+    if field == FIELD_QT:
+        pis = {pi for c in coords for part in (c.num, c.den) for pi, _ in irreducible_factors(part)}
+        return [*map(Place.finite_poly, sorted(pis, key=lambda q: (q.degree(), q.coeffs))),
+                Place.t_infinity()]
+    return [Place.finite(p) for p in prime_support(*coords)]
 
 
 def support(P: ProjectivePoint) -> set[Place]:
-    """Places where the coordinate valuations are not all equal.
-
-    Over Q(t) the infinity place is included when the degree valuations
-    differ; over Q the archimedean place never appears.
-    """
+    """Places where the coordinate valuations are not all equal (never the archimedean one)."""
     if not P.all_nonzero():
         raise DomainError("support needs all coordinates nonzero")
-    out: set[Place] = set()
-    for v in _candidate_finite_places(P):
-        vals = [_coord_valuation(z, v) for z in P.coords]
-        if any(val != vals[0] for val in vals):
-            out.add(v)
-    if P.field == FIELD_QT:
-        vinf = [z.valuation_at_infinity() for z in P.coords]
-        if any(v != vinf[0] for v in vinf):
-            out.add(Place.t_infinity())
-    return out
+    return {v for v in _nonarch_places(P.coords, P.field)
+            if len({v.valuation(z) for z in P.coords}) > 1}
 
 
 def naive_height(P: ProjectivePoint) -> LogValue:
     """Weil height of P, exact (formal) at every place."""
     h = LogValue.zero()
-    for v in _candidate_finite_places(P):
-        m = min(_coord_valuation(z, v) for z in P.coords)
+    for v in _nonarch_places(P.coords, P.field):
+        m = min(v.valuation(z) for z in P.coords)
         if m != 0 and m != INFINITY:
-            h = h + v.weight() * Fraction(-m)
-    if P.field == FIELD_QT:
-        m = min(z.valuation_at_infinity() for z in P.coords)
-        if m != INFINITY and m != 0:
-            h = h + LogValue.from_const(-m)
-    else:
+            h = h + v.weight() * -m
+    if P.field == FIELD_Q:
         big = max(abs(z) for z in P.coords)
         if big != 0 and big != 1:
             h = h + LogValue.log_abs(big)
@@ -284,19 +270,14 @@ def radical(P: ProjectivePoint) -> LogValue:
 
 def product_formula_check(x) -> LogValue:
     """Sum over all places of r_v log|x|_v; exactly zero formally for x != 0."""
-    if isinstance(x, RatFunc):
-        if x.is_zero():
-            raise DomainError("product formula needs x != 0")
-        total = LogValue.zero()
-        for part in (x.num, x.den):
-            for pi, _ in irreducible_factors(part):
-                total = total + local_abs_log(x, Place.finite_poly(pi))
-        total = total + local_abs_log(x, Place.t_infinity())
-        return total
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, RatFunc):
+        x = Fraction(x)
+    if not x:
         raise DomainError("product formula needs x != 0")
-    total = local_abs_log(x, Place.arch())
-    for p in sorted(total.logs):  # log|x| has factored x: its primes are the finite places
-        total = total + local_abs_log(x, Place.finite(p))
-    return total
+    if isinstance(x, RatFunc):
+        total, places = LogValue.zero(), _nonarch_places([x], FIELD_QT)
+    else:
+        total = local_abs_log(x, Place.arch())
+        # log|x| has factored x: its primes are the finite places
+        places = [Place.finite(p) for p in sorted(total.logs)]
+    return sum((local_abs_log(x, v) for v in places), total)

@@ -365,10 +365,6 @@ def irreducible_factors(p: QPoly) -> list[tuple[QPoly, int]]:
 # printing / Q(t)
 # ---------------------------------------------------------------------------
 
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_tpoly(p: QPoly, var: str = "t") -> str:
     """Compact canonical form like t^2-1/2*t+3, highest degree first."""
     if p.is_zero():
@@ -381,10 +377,10 @@ def format_tpoly(p: QPoly, var: str = "t") -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if i == 0:
-            body = _fmt_coeff(mag)
+            body = str(mag)
         else:
             v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == 1 else f"{_fmt_coeff(mag)}*{v}"
+            body = v if mag == 1 else f"{mag}*{v}"
         if not parts:
             parts.append(body if sign == "+" else "-" + body)
         else:

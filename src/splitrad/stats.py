@@ -207,7 +207,7 @@ def epsilon_good_sum(f: Poly, alpha, tol: float = 1e-9) -> LogValue:
         raise DomainError("alpha must be nonzero")
     d = f.degree
     total = -LogValue.log_abs(alpha)  # archimedean term, exact
-    for q in prime_support(alpha):
+    for q in sorted(total.logs):  # log|alpha| has factored alpha: its primes are the finite places
         if q <= d or _place_is_good(f, q):
             total = total + LogValue.from_log(q, valuation(alpha, q))
     return total

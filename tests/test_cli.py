@@ -179,6 +179,22 @@ def test_runconfig_validation():
         RunConfig(depth=0)
 
 
+def test_config_precedence_flag_then_file_then_default():
+    from fractions import Fraction
+    from splitrad.cli import RunConfig, _build_config, build_parser
+    ap = build_parser()
+    chain = ["disk-chain", "--poly", "z^3 + (1/5)*z^2", "--place", "5"]
+    assert _build_config(ap.parse_args(chain), {}) == RunConfig()
+    cfg = {"depth": "3", "tol": "1e-6", "nonarch_maxiter": "5", "arch_maxiter": "50", "eps": "1/3"}
+    rc = _build_config(ap.parse_args(chain), cfg)
+    assert (rc.depth, rc.tol, rc.nonarch_maxiter, rc.arch_maxiter) == (3, 1e-6, 5, 50)
+    assert rc.eps == Fraction(1, 3) and rc.m0 == RunConfig().m0
+    rc = _build_config(ap.parse_args(chain + ["--depth", "4", "--tol", "1e-3"]), cfg)
+    assert (rc.depth, rc.tol, rc.nonarch_maxiter) == (4, 1e-3, 5)
+    points = ["equidistribution", "--poly", "z^2", "--points", "0,1", "--eps", "1/4"]
+    assert _build_config(ap.parse_args(points), cfg).eps == Fraction(1, 4)
+
+
 def test_spec_cli_examples_run_quickly(capsys):
     import time
     examples = [

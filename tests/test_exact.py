@@ -281,6 +281,34 @@ def test_logvalue_compare_trichotomy():
     assert a.compare(LogValue.from_log(2, 1)) == 0
 
 
+def _ref_certified_leq(a, b):
+    c = a.compare(b)
+    if c is None:
+        d = (a - b).to_interval()
+        if d.hi <= 0:
+            return True
+        if d.lo > 0:
+            return False
+        return None
+    return c <= 0
+
+
+# Few distinct formal parts, so a - b is often formally 0 and its enclosure
+# is the error term alone: touching 0 from either side, or holding it.
+_log_values = st.builds(
+    LogValue,
+    st.sampled_from([F(0), F(1), F(-1, 2)]),
+    st.dictionaries(st.sampled_from([2, 3]), st.sampled_from([F(1), F(-1), F(1, 2)]), max_size=2),
+    st.sampled_from([Interval(0.0, 0.0), Interval(-1e-9, 0.0), Interval(0.0, 1e-9),
+                     Interval(-1e-9, 1e-9), Interval(-2.0, 2.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_values, _log_values)
+def test_certified_leq_matches_reference(a, b):
+    assert a.certified_leq(b) is _ref_certified_leq(a, b)
+
+
 def test_logvalue_json_roundtrip():
     v = LogValue(F(-2, 7), {3: F(5, 4)}, Interval(0.25, 0.5))
     assert LogValue.from_json(v.to_json()) == v
