@@ -256,6 +256,11 @@ def valuation(x, p: int):
     """p-adic valuation v_p(x) of a rational x, with v_p(0) = +inf."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x, p: int):
+    """valuation(x, p) for a p the caller has already proved prime."""
     x = Fraction(x)
     if x == 0:
         return INFINITY

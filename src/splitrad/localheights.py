@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DomainError, LogValue, UndeterminedError, prime_support,
-                    is_prime, valuation)
+from .exact import (DomainError, LogValue, UndeterminedError, _valuation, prime_support,
+                    is_prime)
 from .dynamics import (Poly, candidate_bad_primes, center, critical_points,
                        escape_exponent)
 from .intervals import CBox, Interval, horner, horner_centered
@@ -94,7 +94,7 @@ def newton_polygon(f, p: int) -> NewtonPolygon:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     coeffs = f.coeffs
-    vals = [(i, Fraction(valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
+    vals = [(i, Fraction(_valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
     if not vals:
         raise DomainError("Newton polygon of the zero polynomial")
     return newton_polygon_from_valuations(vals, len(coeffs) - 1)
@@ -125,7 +125,7 @@ def splitting_exponent(f: Poly, p: int) -> Fraction:
     for i in range(d - 1):  # coefficients 0..d-2 of the centered form
         c = g[i]
         if c != 0:
-            cand = Fraction(-valuation(c, p), d - i)
+            cand = Fraction(-_valuation(c, p), d - i)
             s = cand if s is None else max(s, cand)
     return s if s is not None else Fraction(-10 ** 9)  # all inner coefficients vanish: z^d
 
@@ -148,15 +148,15 @@ def _invariant_disk_range(shifted: QPoly, c: Fraction, p: int):
     shifted holds the Taylor coefficients of f at c.
     """
     f1 = shifted[1]
-    if f1 != 0 and valuation(f1, p) < 0:
+    if f1 != 0 and _valuation(f1, p) < 0:
         return None
     delta = shifted[0] - c
-    lo = Fraction(-valuation(delta, p)) if delta != 0 else None
+    lo = Fraction(-_valuation(delta, p)) if delta != 0 else None
     hi = None
     for j in range(2, shifted.degree() + 1):
         cj = shifted[j]
         if cj != 0:
-            cand = Fraction(valuation(cj, p), j - 1)
+            cand = Fraction(_valuation(cj, p), j - 1)
             hi = cand if hi is None else min(hi, cand)
     if hi is None:
         return None
@@ -174,7 +174,7 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
     z = Fraction(z)
     d = f.degree
     s_esc = escape_exponent(f, p)
-    c_p = Fraction(-valuation(f.lc, p), d - 1)
+    c_p = Fraction(-_valuation(f.lc, p), d - 1)
     fq = f.as_qpoly()
     cur = z
     seen: set[Fraction] = set()
@@ -183,7 +183,7 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
             return LogValue.zero()
         seen.add(cur)
         if cur != 0:
-            t = Fraction(-valuation(cur, p))
+            t = Fraction(-_valuation(cur, p))
             if t > s_esc:
                 return LogValue.from_log(p, (t + c_p) / d ** n)
         shifted = fq.shift(cur)
@@ -440,7 +440,7 @@ def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
     """max_a lambda_p(a) over critical points a, in log_p units (exact)."""
     d = f.degree
     s_esc = escape_exponent(f, p)
-    c_p = Fraction(-valuation(f.lc, p), d - 1)
+    c_p = Fraction(-_valuation(f.lc, p), d - 1)
     roots, leftovers = critical_points(f)
     best = Fraction(0)
     for r, _ in roots:
@@ -453,7 +453,7 @@ def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
         return best
     # invariant disk about 0 traps every root of size <= t_hi
     inv = _invariant_disk_range(f.as_qpoly(), Fraction(0), p)
-    b_exp = max(Fraction(i) * s_esc - valuation(f[i], p)
+    b_exp = max(Fraction(i) * s_esc - _valuation(f[i], p)
                 for i in range(d + 1) if f[i] != 0)
     lam_bar = max(Fraction(0), b_exp + c_p)
     h = residual.monic()

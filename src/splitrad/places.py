@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import DomainError, INFINITY, LogValue, is_prime, prime_support, valuation
+from .exact import DomainError, LogValue, _valuation, is_prime, prime_support
 from .qpoly import QPoly, RatFunc, format_tpoly, irreducible_factors
 
 FIELD_Q = "Q"
@@ -59,9 +59,6 @@ class Place:
     def t_infinity(cls) -> "Place":
         return cls(Place.T_INFINITY)
 
-    def is_finite(self) -> bool:
-        return self.kind in (Place.FINITE, Place.FINITE_POLY)
-
     def weight(self) -> LogValue:
         """N_v: log p over Q, deg pi over Q(t), 1 at t-infinity."""
         if self.kind == Place.FINITE:
@@ -81,14 +78,10 @@ class Place:
                 return x.valuation_at_infinity()
             raise DomainError(f"place {self!r} does not apply to Q(t)")
         if self.kind == Place.FINITE:
-            return valuation(x, self.p)
+            return _valuation(x, self.p)  # p was proved prime in __init__
         if self.kind == Place.ARCH:
             raise DomainError("archimedean place has no valuation")
         raise DomainError(f"place {self!r} does not apply to Q")
-
-    @property
-    def r_v(self) -> Fraction:
-        return Fraction(1)
 
     def _key(self):
         if self.kind == Place.FINITE:
@@ -249,11 +242,11 @@ def naive_height(P: ProjectivePoint) -> LogValue:
     h = LogValue.zero()
     for v in _nonarch_places(P.coords, P.field):
         m = min(v.valuation(z) for z in P.coords)
-        if m != 0 and m != INFINITY:
+        if m != 0:
             h = h + v.weight() * -m
     if P.field == FIELD_Q:
         big = max(abs(z) for z in P.coords)
-        if big != 0 and big != 1:
+        if big != 1:
             h = h + LogValue.log_abs(big)
     return h
 

@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DomainError, INFINITY, LogValue, UndeterminedError,
-                    prime_support, valuation)
+from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, _valuation,
+                    prime_support)
 from .berkovich import (annulus_mass, annulus_membership_in_chain,
                         AnnulusPosition, inner_disk_chain, wing_clusters)
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
@@ -192,8 +192,8 @@ class EpsilonGoodResult:
 
 def _place_is_good(f: Poly, q: int) -> bool:
     """Good-reduction certificate at a prime q > d (never called inside S_d)."""
-    integral = all(valuation(c, q) >= 0 for c in f.coeffs if c != 0)
-    if integral and valuation(f.lc, q) == 0:
+    integral = all(_valuation(c, q) >= 0 for c in f.coeffs if c != 0)
+    if integral and _valuation(f.lc, q) == 0:
         return True
     if f.is_monic() and f.degree % q != 0:
         return splitting_exponent(f, q) <= 0
@@ -209,7 +209,7 @@ def epsilon_good_sum(f: Poly, alpha, tol: float = 1e-9) -> LogValue:
     total = -LogValue.log_abs(alpha)  # archimedean term, exact
     for q in sorted(total.logs):  # log|alpha| has factored alpha: its primes are the finite places
         if q <= d or _place_is_good(f, q):
-            total = total + LogValue.from_log(q, valuation(alpha, q))
+            total = total + LogValue.from_log(q, _valuation(alpha, q))
     return total
 
 
@@ -250,7 +250,7 @@ def _pair_term(zi: Fraction, zj: Fraction, d: int) -> LogValue:
     for q in prime_support(zi, zj):
         if q <= d:
             continue
-        m = min(valuation(zi, q), valuation(zj, q))
+        m = min(_valuation(zi, q), _valuation(zj, q))
         if m != 0 and m != INFINITY:
             out = out + LogValue.from_log(q, -m)
     return out

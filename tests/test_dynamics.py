@@ -1,15 +1,18 @@
+import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from splitrad import dynamics
-from splitrad.dynamics import (ParseError, center, conjugate,
-                               critical_points, iterate, parse_ground,
+from splitrad.dynamics import (ParseError, Poly, PreperiodicPoint, center,
+                               conjugate, critical_points, iterate, parse_ground,
                                parse_poly, preperiodic_points, print_poly,
                                superattracting_cycles)
-from splitrad.exact import DomainError, UndeterminedError
+from splitrad.exact import DomainError, UndeterminedError, divisors
 from splitrad.places import FIELD_QT
 from splitrad.qpoly import RatFunc
 
@@ -207,6 +210,106 @@ def test_preperiodic_box_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(dynamics, "_MAX_BOX_POINTS", 6)
     with pytest.raises(UndeterminedError, match="box holds 7 starting points"):
         preperiodic_points(f)
+
+
+def test_preperiodic_box_just_under_the_cap_is_searched():
+    # R = 499992, B = 1: 999985 starting points, none of them preperiodic
+    assert preperiodic_points(parse_poly("z^2 + 499990")) == []
+
+
+def test_preperiodic_box_just_over_the_cap_gives_up_before_the_search():
+    tried = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "orbit_is_bounded":
+            tried.append(frame.f_locals["n"])
+
+    sys.setprofile(profile)
+    try:
+        preperiodic_points(parse_poly("z^2 - 1"))  # the hook sees the search run
+        assert tried
+        tried.clear()
+        with pytest.raises(UndeterminedError, match="box holds 1000001 starting points"):
+            preperiodic_points(parse_poly("z^2 + 499998"))  # R = 500000
+    finally:
+        sys.setprofile(None)
+    assert tried == []
+
+
+def _in_box(x, R, B, F_):
+    if abs(x) > R:
+        return False
+    if B % x.denominator != 0:
+        return False
+    return x.numerator % F_ == 0
+
+
+def _preperiodic_reference(f):
+    """The search as it ran on Fraction orbits, before orbits ran on integer numerators."""
+    R, B, F_ = dynamics._search_box(f)
+    results = []
+    decided = {}
+
+    def orbit_is_bounded(x):
+        if x in decided:
+            return decided[x]
+        seen = {x: 0}
+        orbit = [x]
+        verdict = None
+        while verdict is None:
+            nxt = f(orbit[-1])
+            if not _in_box(nxt, R, B, F_):
+                verdict = False
+            elif nxt in seen:
+                verdict = True
+            else:
+                seen[nxt] = len(orbit)
+                orbit.append(nxt)
+        for y in orbit:
+            decided[y] = verdict
+        return verdict
+
+    for b in divisors(B):
+        nmax = int(R * b)
+        for a in range(-nmax, nmax + 1):
+            if math.gcd(a, b) != 1 or (F_ > 1 and a % F_ != 0):
+                continue
+            x = F(a, b)
+            if not orbit_is_bounded(x):
+                continue
+            seen = {x: 0}
+            orbit = [x]
+            while True:
+                nxt = f(orbit[-1])
+                if nxt in seen:
+                    results.append(PreperiodicPoint(x, seen[nxt], len(orbit) - seen[nxt]))
+                    break
+                seen[nxt] = len(orbit)
+                orbit.append(nxt)
+    return sorted(results)
+
+
+_prime_powers = st.sampled_from([1, 2, 3, 4, 5, 8, 9, 25])
+_maps = st.builds(
+    lambda low, lc: Poly(low + [lc]),
+    st.lists(st.builds(F, st.integers(-6, 6), _prime_powers), min_size=2, max_size=4),
+    st.one_of(st.just(F(1)),  # monic; B > 1 from the lower denominators
+              st.builds(F, st.sampled_from([-2, -1, 1, 3]), _prime_powers)))  # F > 1 too
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps)
+@example(parse_poly("z^3 + (1/5)*z^2"))       # F5: B = 5
+@example(parse_poly("-(2/9)*z^3 - z^2"))      # the PCF map: B = 2, F = 3
+@example(parse_poly("z^2 - 29/16"))           # B = 4, a 3-cycle with its tails
+@example(parse_poly("(1/5)*z^2 - 5"))         # F = 5: 5 times the orbits of z^2 - 1
+def test_preperiodic_points_match_the_fraction_search(f):
+    R, B, F_ = dynamics._search_box(f)
+    assume(sum(2 * int(R * b) + 1 for b in divisors(B)) <= 20_000)
+    event(f"B > 1: {B > 1}, F > 1: {F_ > 1}")
+    got = preperiodic_points(f)
+    event(f"preperiodic points found: {bool(got)}")
+    assert got == _preperiodic_reference(f)
 
 
 def test_superattracting_cycles_derivative_vanishes():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from splitrad.berkovich import hsia_energy, inner_disk_chain, wing_clusters
 from splitrad.dynamics import conjugate, parse_poly, preperiodic_points
 from splitrad.exact import (DomainError, LogValue, UndeterminedError,
                             valuation)
@@ -12,7 +13,8 @@ from splitrad.localheights import (analyze, canonical_height,
                                    critical_height_local, escape_exponent,
                                    escape_rate_arch, escape_rate_arch_box,
                                    escape_rate_nonarch,
-                                   newton_polygon, splitting_radius)
+                                   newton_polygon, splitting_exponent,
+                                   splitting_radius)
 from splitrad.intervals import CBox, Interval
 from splitrad.places import FIELD_QT, Place
 from splitrad.qpoly import QPoly
@@ -338,3 +340,15 @@ def test_escape_exponent_values():
     assert escape_exponent(F5, 3) == F(0)
     assert escape_exponent(PCF, 3) == F(-1)
     assert escape_exponent(PCF, 2) == F(1)
+
+
+@pytest.mark.parametrize("p", [-5, 0, 1, 4, 25])
+def test_entry_points_that_take_p_prove_it_prime(p):
+    # inside, valuations at p skip the check, so each entry point must make it
+    calls = [lambda: valuation(F(1, 2), p), lambda: escape_exponent(F5, p),
+             lambda: newton_polygon(F5, p), lambda: splitting_exponent(F5, p),
+             lambda: escape_rate_nonarch(F5, p, 1), lambda: inner_disk_chain(F5, p, 2),
+             lambda: wing_clusters(F5, p), lambda: hsia_energy([0, 1], p)]
+    for call in calls:
+        with pytest.raises(DomainError, match="prime"):
+            call()

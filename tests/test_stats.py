@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from splitrad.stats import (AbcTriple, abc_quality, epsilon_good_fraction,
                             epsilon_good_sum, equidistribution_report,
                             pair_moment, rows_to_csv, theorem_experiment)
 import splitrad.stats
+from splitrad import exact
 from splitrad.stats import _weight_ratio
 
 F5 = parse_poly("z^3 + (1/5)*z^2")
@@ -266,6 +268,32 @@ def test_theorem_experiment_csv_regression():
         "family_param,h_crit,n_preperiodic,triple,h,rad,quality,achieved_delta,verdicts\n"
         "5,log(3) + log(5),2,,,,,0,5:False\n"
     )
+
+
+def test_theorem_experiment_checks_the_parameter_prime_once_per_entry_point(monkeypatch):
+    """Callers that hold a proved prime take valuations without re-proving it."""
+    checks, valuations = [], []
+    real_is_prime, real_valuation = exact.is_prime, exact._valuation
+
+    def is_prime(n):
+        checks.append(n)
+        return real_is_prime(n)
+
+    def _valuation(x, p):
+        valuations.append(p)
+        return real_valuation(x, p)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("splitrad"):
+            if getattr(mod, "is_prime", None) is real_is_prime:
+                monkeypatch.setattr(mod, "is_prime", is_prime)
+            if getattr(mod, "_valuation", None) is real_valuation:
+                monkeypatch.setattr(mod, "_valuation", _valuation)
+    rows, skips = theorem_experiment("z^3 + (1/a)*z^2", "a", [101])
+    assert rows and not skips
+    # 20 checks of 101 (factorize, Place.finite and the public entry points that
+    # take p) against 39 valuations at 101; 56 checks when every valuation proved p
+    assert checks.count(101) <= 24 < valuations.count(101)
 
 
 def test_theorem_experiment_skips():
