@@ -190,7 +190,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     Trial division up to 10^6, then Pollard rho with a fixed seed and at
     most _RHO_BUDGET steps over all cofactors, past which it raises
-    UndeterminedError; primality of cofactors is decided by is_prime.
+    UndeterminedError; primality of cofactors is decided by is_prime.  Each
+    cofactor is first divided by the primes already found, so once rho has
+    found a prime, no further rho call splits off its powers.
     """
     if n == 0:
         raise DomainError("factorize(0) is undefined")
@@ -208,13 +210,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
         budget = _RHO_BUDGET
         while stack:
             m = stack.pop()
+            for q in out:  # rho splits a prime power a few factors at a time
+                while m % q == 0:
+                    out[q] += 1
+                    m //= q
+            if m == 1:
+                continue
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
             d, spent = _pollard_rho(m, rng, budget)
             budget -= spent
-            stack.append(d)
             stack.append(m // d)
+            stack.append(d)  # rho's factor, usually the smaller, is proved first
     return sorted(out.items())
 
 

@@ -169,11 +169,9 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
     """Exact lambda_p(z) via the escape or boundedness certificate."""
     if f.field != FIELD_Q:
         raise DomainError("non-archimedean escape rates run over Q")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    s_esc = escape_exponent(f, p)  # raises DomainError unless p is prime
     z = Fraction(z)
     d = f.degree
-    s_esc = escape_exponent(f, p)
     c_p = Fraction(-_valuation(f.lc, p), d - 1)
     fq = f.as_qpoly()
     cur = z

@@ -200,7 +200,7 @@ def _place_is_good(f: Poly, q: int) -> bool:
     raise UndeterminedError(f"no good/bad verdict available at p={q}")
 
 
-def epsilon_good_sum(f: Poly, alpha, tol: float = 1e-9) -> LogValue:
+def epsilon_good_sum(f: Poly, alpha) -> LogValue:
     """Sum over S_d, the archimedean place and the good places of log|1/alpha|_v."""
     alpha = Fraction(alpha)
     if alpha == 0:
@@ -225,7 +225,7 @@ def epsilon_good_fraction(f: Poly, T, eps, tol: float = 1e-9) -> EpsilonGoodResu
     witnesses = []
     good = 0
     for a in diffs:
-        s = epsilon_good_sum(f, a, tol)
+        s = epsilon_good_sum(f, a)
         verdict = s.certified_leq(hc * eps)
         if verdict:
             good += 1

@@ -245,3 +245,10 @@ def test_canonical_height_with_an_unfactorable_denominator_exits_3(capsys):
     assert code == 3 and out == ""
     assert "exceeded the Pollard rho budget of 131072 steps" in err
     assert time.monotonic() - start < 2.0
+
+
+def test_canonical_height_at_a_prime_power_denominator(capsys):
+    code, out, _ = run(capsys, "canonical-height", "--poly", "z^2 - 1",
+                       "--point", "1/1000003^200")
+    assert code == 0
+    assert json.loads(out)["canonical_height"]["logs"] == {"1000003": "200"}

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -218,22 +219,36 @@ def test_preperiodic_box_just_under_the_cap_is_searched():
 
 
 def test_preperiodic_box_just_over_the_cap_gives_up_before_the_search():
+    # the search calls math.gcd once per start point, from preperiodic_points itself
     tried = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "orbit_is_bounded":
-            tried.append(frame.f_locals["n"])
+        if (event == "c_call" and arg is math.gcd
+                and frame.f_code is preperiodic_points.__code__):
+            tried.append(1)
 
     sys.setprofile(profile)
     try:
-        preperiodic_points(parse_poly("z^2 - 1"))  # the hook sees the search run
-        assert tried
+        preperiodic_points(parse_poly("z^2 - 1"))  # R = 3, B = 1: seven start points
+        assert len(tried) == 7
         tried.clear()
         with pytest.raises(UndeterminedError, match="box holds 1000001 starting points"):
             preperiodic_points(parse_poly("z^2 + 499998"))  # R = 500000
     finally:
         sys.setprofile(None)
     assert tried == []
+
+
+def test_preperiodic_search_keeps_no_visited_points():
+    # R = 19992, B = 1: 39985 start points; only the orbit being walked is held
+    f = parse_poly("z^2 + 19990")
+    tracemalloc.start()
+    try:
+        assert preperiodic_points(f) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def _in_box(x, R, B, F_):

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -188,6 +189,17 @@ def test_factorize_gives_up_at_the_rho_budget():
         factorize(8808046456595511703397342424939986591502523)
     # two 11-digit primes still fit in the budget
     assert factorize(10000000019 * 10000000033) == [(10000000019, 1), (10000000033, 1)]
+
+
+def test_prime_powers_above_the_trial_bound_factor_exactly():
+    # rho splits p^k a few factors at a time; without dividing each cofactor by
+    # the primes already found, 1000003^200 exceeded the rho budget
+    p, q = 1000003, 1000033
+    start = time.perf_counter()
+    assert factorize(p ** 200) == [(p, 200)]
+    assert factorize((p * q) ** 50) == [(p, 50), (q, 50)]
+    assert factorize(7 * p ** 3 * q) == [(7, 1), (p, 3), (q, 1)]
+    assert time.perf_counter() - start < 10.0
 
 
 def test_rho_budget_is_shared_by_every_cofactor(monkeypatch):
