@@ -346,12 +346,17 @@ def _fmt_qt_coeff(c: RatFunc) -> str:
 
 def print_poly(f: Poly) -> str:
     """Canonical printer; parse_poly(print_poly(f)) == f."""
+    return _print_coeffs(f.coeffs, f.field)
+
+
+def _print_coeffs(coeffs, field: str = FIELD_Q) -> str:
+    """print_poly of a coefficient list, lowest degree first, of any degree."""
     parts: list[str] = []
-    for i in range(f.degree, -1, -1):
-        c = f[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
-        if f.field == FIELD_QT:
+        if field == FIELD_QT:
             body = _monomial(_fmt_qt_coeff(c), i, always_coeff=True)
             sign = "+"
         else:
@@ -440,6 +445,11 @@ def escape_exponent(f: Poly, p: int) -> Fraction:
     """log_p theta_p: beyond radius p^s, |f(z)|_p = |a_d|_p |z|_p^d exactly."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    return _escape_exponent(f, p)
+
+
+def _escape_exponent(f: Poly, p: int) -> Fraction:
+    """escape_exponent(f, p) for a p the caller has already proved prime."""
     d = f.degree
     vd = _valuation(f.lc, p)
     s = Fraction(vd, d - 1)
@@ -466,7 +476,7 @@ def _search_box(f: Poly):
     """(arch bound R, denominator bound B, forced numerator divisor F)."""
     B, F = 1, 1
     for p in candidate_bad_primes(f):
-        s = escape_exponent(f, p)
+        s = _escape_exponent(f, p)
         if s > 0:
             B *= p ** math.floor(s)
         elif s < 0:

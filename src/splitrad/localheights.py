@@ -17,14 +17,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import (DomainError, LogValue, UndeterminedError, _valuation, prime_support,
                     is_prime)
-from .dynamics import (Poly, candidate_bad_primes, center, critical_points,
-                       escape_exponent)
+from .dynamics import (Poly, _escape_exponent, _print_coeffs, candidate_bad_primes, center,
+                       critical_points, escape_exponent)
 from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
-from .qpoly import QPoly, poly_horner
+from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_gcd, poly_horner,
+                    poly_powmod, poly_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +95,11 @@ def newton_polygon(f, p: int) -> NewtonPolygon:
     """Newton polygon at p of a Poly over Q or a QPoly."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    return _newton_polygon(f, p)
+
+
+def _newton_polygon(f, p: int) -> NewtonPolygon:
+    """newton_polygon(f, p) for a p the caller has already proved prime."""
     coeffs = f.coeffs
     vals = [(i, Fraction(_valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
     if not vals:
@@ -120,6 +127,12 @@ def splitting_exponent(f: Poly, p: int) -> Fraction:
         raise DomainError(f"{p} is not prime")
     if d % p == 0:
         raise DomainError(f"no splitting verdict at p={p} dividing d={d}")
+    return _splitting_exponent(f, p)
+
+
+def _splitting_exponent(f: Poly, p: int) -> Fraction:
+    """splitting_exponent(f, p) for a monic f over Q and a prime p the caller holds, p not dividing d."""
+    d = f.degree
     g, _ = center(f)
     s = None
     for i in range(d - 1):  # coefficients 0..d-2 of the centered form
@@ -169,7 +182,14 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
     """Exact lambda_p(z) via the escape or boundedness certificate."""
     if f.field != FIELD_Q:
         raise DomainError("non-archimedean escape rates run over Q")
-    s_esc = escape_exponent(f, p)  # raises DomainError unless p is prime
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return _escape_rate_nonarch(f, p, z, maxiter)
+
+
+def _escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
+    """escape_rate_nonarch over Q for a p the caller has already proved prime."""
+    s_esc = _escape_exponent(f, p)
     z = Fraction(z)
     d = f.degree
     c_p = Fraction(-_valuation(f.lc, p), d - 1)
@@ -414,6 +434,142 @@ def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
 
 
 # ---------------------------------------------------------------------------
+# parabolic fixed points
+# ---------------------------------------------------------------------------
+
+# the mod-p screen of _screen_clears uses the first of these that it may
+_SCREEN_PRIMES = (1000003, 1000033, 1000037)
+
+
+@lru_cache(maxsize=None)
+def _unity_orders(d: int) -> tuple[tuple[int, ...], int]:
+    """((q with phi(q) <= d, ascending), their lcm N) for maps of degree d.
+
+    A fixed point is a root of f(z) - z, of degree d, and its multiplier lies in
+    Q(alpha); a primitive q-th root of unity has degree phi(q) >= sqrt(q/2), so
+    phi(q) <= d and q <= 2 d^2.  N is 12 for d = 2, 3, 120 for d = 4, 5.
+    """
+    top = 2 * d * d
+    phi = list(range(top + 1))  # Euler's totient by sieve
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    orders = tuple(q for q in range(1, top + 1) if phi[q] <= d)
+    return orders, math.lcm(*orders)
+
+
+def _screen_clears(f: Poly) -> bool:
+    """True when a gcd mod one prime proves that f has no parabolic fixed point.
+
+    With h = f(z) - z, f has one exactly when g = gcd(h, f'^N - 1) is nonconstant
+    over Q.  Take p dividing no coefficient denominator and not the numerator of
+    lc(f).  Then p does not divide the leading coefficient of the primitive integer
+    form of h, nor (Gauss's lemma) that of any factor of it, so a nonconstant factor
+    of g keeps its degree mod p and divides both reductions: a constant gcd mod p
+    proves g = 1.  When every prime of _SCREEN_PRIMES divides one of those numbers
+    the screen clears nothing.  The search over Q that follows can take seconds
+    (about 4 s for z^12 + (1/1000003)*z^2 + z/3 on one Intel Xeon core, Python
+    3.11), which is why there is more than one prime.
+    """
+    usable = (p for p in _SCREEN_PRIMES
+              if f.lc.numerator % p and all(c.denominator % p for c in f.coeffs))
+    p = next(usable, None)
+    if p is None:
+        return False
+    h = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+    df = poly_derivative(h, p)
+    h[1] = (h[1] - 1) % p
+    n = _unity_orders(f.degree)[1]
+    return len(poly_gcd(h, poly_add(poly_powmod(df, n, h, p), [-1], p), p)) == 1
+
+
+def _parabolic_fixed_points(f: Poly) -> list[tuple[list, int]]:
+    """[(g_q, q)], q ascending: the roots of the monic g_q are the fixed points of f whose
+    multiplier is a primitive q-th root of unity.  Empty when f has no such point.
+
+    Unless the screen clears f, each possible order q is tried over Q on the
+    squarefree part of f(z) - z, from which every g_q found is divided out: the
+    roots of gcd(rest, f'^q - 1) left by the smaller orders have order exactly q.
+    Reducing f'^q modulo a polynomial of degree <= d keeps the Fractions small;
+    f'^N over Q would not.
+    """
+    if _screen_clears(f):
+        return []
+    h = list(f.coeffs)
+    h[1] -= 1
+    rest = poly_divmod(h, poly_gcd(h, poly_derivative(h)))[0]
+    df = poly_derivative(f.coeffs)
+    found = []
+    for q in _unity_orders(f.degree)[0]:
+        if len(rest) == 1:
+            break
+        gq = poly_gcd(rest, poly_add(poly_powmod(df, q, rest), [-1]))
+        if len(gq) > 1:
+            found.append((gq, q))
+            rest = poly_divmod(rest, gq)[0]
+    return found
+
+
+def _ordinal(q: int) -> str:
+    return f"{q}{'th' if 10 <= q % 100 <= 20 else {1: 'st', 2: 'nd', 3: 'rd'}.get(q % 10, 'th')}"
+
+
+def _parabolic_give_up(f: Poly) -> str | None:
+    """Why no archimedean critical-height certificate can exist for f, or None.
+
+    Let alpha be a fixed point with multiplier a root of unity.  Its basin holds a
+    critical point c whose orbit converges to alpha and never lands on it (Fatou;
+    Milnor, Dynamics in One Complex Variable, section 10).  For c the escape test
+    cannot fire (the orbit stays below Theta), the exact preperiodicity check cannot
+    either, and the invariant-disk search would need a ball D containing some f^n(c)
+    and a j <= 4 with f^j(D) inside W_j inside D.  Every endpoint of W_j comes out of
+    a nextafter step, so it lies strictly beyond the image: horner_centered ends with
+    a product of two enclosures of positive width (no 0/1 shortcut applies) and a
+    sum that rounds outward or, for an exact-zero constant term, returns that
+    product; with d >= 2 and D of positive width, every W_j has positive width too.
+    So f^j(D) lies in the interior of W_j, and alpha, a limit of f^(n + kj)(c) in D,
+    lies in int D.
+    - c irrational: D is a CBox.  f^j maps int D into a compact subset of itself and
+      fixes alpha, so by Schwarz's lemma |(f^j)'(alpha)| < 1, against |multiplier| = 1.
+    - c rational: D is a real Interval and alpha is real, multiplier +-1.  Real
+      intervals can be invariant about such a point (multiplier -1 attracting on both
+      sides, or an odd-order contact), so this branch needs a side of alpha whose
+      points escape: if h(z) = f(z) - z > 0 on (alpha, oo), each x > alpha has an
+      increasing orbit with no fixed point to converge to, so it is unbounded, and an
+      invariant D cannot hold alpha in its interior; likewise h < 0 on (-oo, alpha).
+      Both are read off the signs of the coefficients of h(alpha + y).
+    Hence the verdict below is given if f has no rational critical point, if some
+    such alpha has multiplier order q >= 3 (alpha is then not real, nor is c), or if
+    some rational alpha has an escaping side.  Any other parabolic map takes the
+    ordinary path, where this argument does not rule out a certificate.
+    """
+    found = _parabolic_fixed_points(f)
+    if not found:
+        return None
+    if not (any(q > 2 for _, q in found) or not f.derivative_qpoly().rational_roots()
+            or any(_escaping_side(f, alpha) for g, _ in found
+                   for alpha, _ in QPoly(g).rational_roots())):
+        return None
+    return "parabolic fixed point: " + "; ".join(
+        f"root of {_print_coeffs(g)}, multiplier a primitive {_ordinal(q)} root of unity"
+        for g, q in found)
+
+
+def _escaping_side(f: Poly, alpha: Fraction) -> bool:
+    """True if f(x) - x > 0 for all x > alpha or f(x) - x < 0 for all x < alpha.
+
+    Sufficient test: the coefficients of h(alpha + y) all >= 0, or those of
+    h(alpha - y) all <= 0 (h(alpha) = 0 and h is not zero).
+    """
+    h = list(f.coeffs)
+    h[1] -= 1
+    shifted = poly_shift(h, alpha)
+    return (all(c >= 0 for c in shifted)
+            or all(c <= 0 if i % 2 == 0 else c >= 0 for i, c in enumerate(shifted)))
+
+
+# ---------------------------------------------------------------------------
 # critical heights
 # ---------------------------------------------------------------------------
 
@@ -437,12 +593,12 @@ def _pushforward(h: QPoly, f: Poly) -> QPoly:
 def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
     """max_a lambda_p(a) over critical points a, in log_p units (exact)."""
     d = f.degree
-    s_esc = escape_exponent(f, p)
+    s_esc = _escape_exponent(f, p)
     c_p = Fraction(-_valuation(f.lc, p), d - 1)
     roots, leftovers = critical_points(f)
     best = Fraction(0)
     for r, _ in roots:
-        lam = escape_rate_nonarch(f, p, r)
+        lam = _escape_rate_nonarch(f, p, r)
         best = max(best, lam.logs.get(p, Fraction(0)))
     residual = QPoly.const(1)
     for g in leftovers:
@@ -456,7 +612,7 @@ def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
     lam_bar = max(Fraction(0), b_exp + c_p)
     h = residual.monic()
     for n in range(depth + 1):
-        np_h = newton_polygon(h, p)
+        np_h = _newton_polygon(h, p)
         m_slope = np_h.max_slope()
         if inv is not None and (m_slope is None or m_slope <= inv[1]):
             return best  # every residual image fits in an invariant disk about 0
@@ -468,11 +624,21 @@ def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
 
 
 def critical_height_local(f: Poly, v: Place, tol: float = 1e-9) -> LogValue:
-    """lambda_crit,v(f) = max over finite critical points of the local escape rate."""
+    """lambda_crit,v(f) = max over finite critical points of the local escape rate.
+
+    At the archimedean place a fixed point whose multiplier is a root of unity is
+    decided exactly first (a gcd mod one prime, and over Q only if that does not
+    rule it out).  Where such a point leaves no certificate for the critical point in
+    its basin (see _parabolic_give_up), UndeterminedError names the fixed points and
+    the order of their multipliers before any critical point is iterated.
+    """
     if f.field != FIELD_Q:
         raise DomainError("critical heights run over Q")
     if v.kind == Place.ARCH:
         _check_arch_args(f, tol)
+        reason = _parabolic_give_up(f)
+        if reason:
+            raise UndeterminedError(reason)
         roots, leftovers = critical_points(f)
         lams = [escape_rate_arch(f, r, tol) for r, _ in roots]
         for g in leftovers:
@@ -488,9 +654,9 @@ def critical_height_local(f: Poly, v: Place, tol: float = 1e-9) -> LogValue:
         return LogValue.from_interval(Interval(max(acc.lo, 0.0), max(acc.hi, 0.0)))
     if v.kind != Place.FINITE:
         raise DomainError(f"unsupported place {v!r} for a map over Q")
-    p = v.p
+    p = v.p  # proved prime by Place.finite: the helpers below skip the check
     if f.is_monic() and p > f.degree:
-        s = splitting_exponent(f, p)
+        s = _splitting_exponent(f, p)
         return LogValue.from_log(p, s) if s > 0 else LogValue.zero()
     lam = _lambda_crit_finite_general(f, p)
     return LogValue.from_log(p, lam) if lam != 0 else LogValue.zero()
@@ -516,8 +682,8 @@ def canonical_height(f: Poly, z, tol: float = 1e-9, nonarch_maxiter: int = 30,
     z = Fraction(z)
     primes = set(candidate_bad_primes(f)).union(prime_support(z.denominator))
     total = escape_rate_arch(f, z, tol, maxiter=arch_maxiter)
-    for p in sorted(primes):
-        total = total + escape_rate_nonarch(f, p, z, maxiter=nonarch_maxiter)
+    for p in sorted(primes):  # factors of integers: already proved prime
+        total = total + _escape_rate_nonarch(f, p, z, maxiter=nonarch_maxiter)
     return total
 
 

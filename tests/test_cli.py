@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 from splitrad.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -252,3 +258,20 @@ def test_canonical_height_at_a_prime_power_denominator(capsys):
                        "--point", "1/1000003^200")
     assert code == 0
     assert json.loads(out)["canonical_height"]["logs"] == {"1000003": "200"}
+
+
+def test_parabolic_maps_exit_3_at_once_as_fresh_processes():
+    # the parabolic fixed point is decided exactly before any critical orbit is iterated
+    # (the iteration took 0.15 s on z^2 + 1/4 and 0.5-0.7 s on z^3 + z)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv, stderr in (
+            (["hcrit", "--poly", "z^2 + 1/4"], "undetermined: parabolic fixed point: "
+             "root of z - (1/2), multiplier a primitive 1st root of unity\n"),
+            (["analyze", "--poly", "z^3 + z"], "undetermined: parabolic fixed point: "
+             "root of z, multiplier a primitive 1st root of unity\n")):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "splitrad.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr)
+        assert elapsed < 1.0, (argv, elapsed)

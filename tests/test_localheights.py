@@ -1,14 +1,19 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from splitrad.berkovich import hsia_energy, inner_disk_chain, wing_clusters
-from splitrad.dynamics import conjugate, parse_poly, preperiodic_points
+from splitrad.dynamics import (Poly, _print_coeffs, conjugate, critical_points, parse_poly,
+                               preperiodic_points)
 from splitrad.exact import (DomainError, LogValue, UndeterminedError,
                             valuation)
-from splitrad.localheights import (analyze, canonical_height,
+from splitrad.localheights import (_SCREEN_PRIMES, _parabolic_fixed_points, _screen_clears,
+                                   analyze, canonical_height, complex_root_boxes,
                                    critical_height_global,
                                    critical_height_local, escape_exponent,
                                    escape_rate_arch, escape_rate_arch_box,
@@ -257,8 +262,141 @@ def test_critical_height_with_bounded_irrational_critical_points():
 def test_parabolic_critical_orbit_is_undetermined():
     # z^3 + z has a neutral fixed point at 0; no certificate can fire
     f = parse_poly("z^3 + z")
-    with pytest.raises(UndeterminedError):
+    with pytest.raises(UndeterminedError, match=r"^parabolic fixed point: root of z, "
+                                                r"multiplier a primitive 1st root of unity$"):
         critical_height_local(f, Place.arch(), 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# parabolic fixed points
+# ---------------------------------------------------------------------------
+
+# (map, its parabolic fixed point, the order q of the multiplier)
+PARABOLIC = [("z^2 + 1/4", F(1, 2), 1), ("z^3 + z", F(0), 1),
+             ("z^2 - 3/4", F(-1, 2), 2), ("z^2 - z", F(0), 2)]
+# the first screen prime alone, or all of them, in a denominator or in lc(f)
+P1, ALL = _SCREEN_PRIMES[0], math.prod(_SCREEN_PRIMES)
+scales = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+                   st.sampled_from([F(P1), F(1, P1), F(-2, P1), F(ALL), F(1, ALL)]))
+shifts = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                   st.sampled_from([F(1, P1), F(1, ALL)]))
+
+
+def _parabolic_conjugate(model, a, b):
+    text, alpha, q = model
+    return conjugate(parse_poly(text), a, b), a * alpha + b, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PARABOLIC), scales, shifts)
+def test_parabolic_conjugates_are_flagged(model, a, b):
+    # mu o f o mu^-1 fixes mu(alpha) with the same multiplier; a or b may put a screen
+    # prime, or all of them, into a denominator or lc(f): the screen must never clear
+    f, alpha, q = _parabolic_conjugate(model, a, b)
+    assert not _screen_clears(f)
+    assert _parabolic_fixed_points(f) == [([-alpha, 1], q)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(PARABOLIC), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+       .filter(bool), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+def test_parabolic_conjugates_defeat_the_critical_orbit_search(model, a, b):
+    # today's per-critical-point path, called directly, gives up on some critical point
+    f, _, _ = _parabolic_conjugate(model, a, b)
+    roots, leftovers = critical_points(f)
+    runs = ([lambda r=r: escape_rate_arch(f, r, 1e-6, maxiter=400) for r, _ in roots]
+            + [lambda box=box: escape_rate_arch_box(f, box, 1e-6, maxiter=400)
+               for g in leftovers for box in complex_root_boxes(g)])
+
+    def gives_up(run):
+        try:
+            run()
+        except UndeterminedError:
+            return True
+        return False
+
+    assert any(gives_up(run) for run in runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PARABOLIC[:2]), scales, shifts)
+def test_parabolic_give_up_names_the_fixed_point(model, a, b):
+    # z^2 + 1/4 (rational critical point, an escaping side) and z^3 + z (no rational
+    # critical point): the arch branch raises before any critical point is iterated
+    f, alpha, _ = _parabolic_conjugate(model, a, b)
+    text = _print_coeffs([-alpha, 1])
+    with pytest.raises(UndeterminedError) as info:
+        critical_height_local(f, Place.arch(), 1e-6)
+    assert str(info.value) == (f"parabolic fixed point: root of {text}, "
+                               "multiplier a primitive 1st root of unity")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("z^3 + 2*z^2 + 3*z + 1", "root of z^2 + z + 1, multiplier a primitive 3rd root of unity"),
+    ("(1/2)*z^3 + (1/2)*z^2 + (3/2)*z + 1/2",
+     "root of z^2 + 1, multiplier a primitive 4th root of unity"),
+    ("(1/3)*z^3 + z + 1/3", "root of z^2 - z + 1, multiplier a primitive 6th root of unity"),
+    ("z^3 - z", "root of z, multiplier a primitive 2nd root of unity"),
+])
+def test_parabolic_give_up_orders(text, message):
+    # z + (z^2 + z + 1)(z + 1), z + (z^2 + 1)(z + 1)/2 and z + (z^2 - z + 1)(z + 1)/3
+    # have non-real parabolic points (6 is the largest order a cubic's multiplier can
+    # have); z^3 - z has multiplier -1 at 0 and no rational critical point
+    with pytest.raises(UndeterminedError, match=f"^parabolic fixed point: {re.escape(message)}$"):
+        critical_height_local(parse_poly(text), Place.arch(), 1e-6)
+
+
+def test_parabolic_points_outside_the_argument_take_the_ordinary_path():
+    # multiplier -1 at -1/2 with the rational critical point 0: a real invariant interval
+    # about -1/2 is not ruled out, so the iteration runs and gives up as before
+    assert _parabolic_fixed_points(parse_poly("z^2 - 3/4")) == [([F(1, 2), 1], 2)]
+    with pytest.raises(UndeterminedError, match="no archimedean certificate within 400"):
+        critical_height_local(parse_poly("z^2 - 3/4"), Place.arch(), 1e-6)
+
+
+def _multiplier_orders(f):
+    """The orders of the root-of-unity multipliers of f's fixed points, by sympy.
+
+    R(y) = res_z(f(z) - z, y - f'(z)) vanishes exactly at the multipliers, so
+    a primitive q-th root of unity is one exactly when Phi_q divides R.
+    """
+    z, y = sympy.symbols("z y")
+    fz = sum(sympy.Rational(c.numerator, c.denominator) * z ** i for i, c in enumerate(f.coeffs))
+    res = sympy.Poly(sympy.resultant(fz - z, y - sympy.diff(fz, z), z), y)
+    return {q for q in range(1, 2 * f.degree ** 2 + 1)
+            if res.rem(sympy.Poly(sympy.cyclotomic_poly(q, y), y)).is_zero}
+
+
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def maps_near_parabolic(draw):
+    """Degree 2-5: random, or with a fixed point whose multiplier is 1, -1, i or a cube root of 1."""
+    d = draw(st.integers(2, 5))
+    rest = [draw(coeffs) for _ in range(d)] + [draw(coeffs.filter(bool))]
+    kind = draw(st.sampled_from(["random", "real", "order 3", "order 4"]))
+    if kind == "random" or (kind != "real" and d < 3):
+        return Poly(rest)
+    z = QPoly([0, 1])
+    if kind == "real":  # alpha + lam (z - alpha) + (z - alpha)^2 k(z)
+        alpha, lam = draw(coeffs), draw(st.sampled_from([1, -1]))
+        w = z - QPoly.const(alpha)
+        g = QPoly.const(alpha) + QPoly.const(lam) * w + w * w * QPoly(rest[2:])
+    else:  # z + m(z) u(z), m the minimal polynomial of the point, u(point) fixed mod m
+        m, u = ((QPoly([1, 1, 1]), QPoly([1, 1])) if kind == "order 3"
+                else (QPoly([1, 0, 1]), QPoly([F(1, 2), F(1, 2)])))
+        g = z + m * (u + m * QPoly(rest[4:] or [0]))
+    return Poly(g.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_near_parabolic())
+def test_parabolic_detection_matches_sympy_multipliers(f):
+    found = _parabolic_fixed_points(f)
+    assert {q for _, q in found} == _multiplier_orders(f)
+    if found:
+        assert not _screen_clears(f)
 
 
 def test_analyze_profiles():
