@@ -378,13 +378,36 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
 
 def _difference_poly(fq: QPoly) -> QPoly:
     """Monic prod_{i,j} (x - (a_i - a_j)) over the roots of fq, whose power sums are
-    sum_l C(k,l) (-1)^(k-l) s_l s_(k-l) for the power sums s_l of those roots."""
-    n = fq.degree() ** 2
-    s = fq.power_sums(n)
-    return QPoly.from_power_sums([
-        sum((math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1)),
-            Fraction(0))
-        for k in range(n + 1)])
+    sum_l C(k,l) (-1)^(k-l) s_l s_(k-l) for the power sums s_l of those roots
+    (Bostan, Flajolet, Salvy and Schost, J. Symbolic Comput. 41, 2006).
+
+    All on integers: with L the lcm of the coefficient denominators of the monic
+    fq, the roots L*a_i are those of a monic integer polynomial, so they and their
+    differences are algebraic integers.  Their power sums are rational algebraic
+    integers, hence integers, and so are the coefficients of the monic polynomial
+    of the differences: every division by k in Newton's identities is exact.  Its
+    coefficient of x^(n-k), n = deg(fq)^2, is the one for the a_i - a_j times L^k.
+    """
+    a = fq.monic().coeffs
+    m = len(a) - 1
+    L = math.lcm(*(c.denominator for c in a))
+    b = [c.numerator * L ** (m - i) // c.denominator for i, c in enumerate(a)]
+    n = m * m
+    s = [m]  # power sums of the L*a_i (Newton's identities)
+    for k in range(1, n + 1):
+        acc = k * b[m - k] if k <= m else 0
+        for i in range(1, min(k - 1, m) + 1):
+            acc += b[m - i] * s[k - i]
+        s.append(-acc)
+    ps = [sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1))
+          for k in range(n + 1)]
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = ps[k]
+        for i in range(1, k):
+            acc += c[n - i] * ps[k - i]
+        c[n - k] = -acc // k
+    return QPoly([Fraction(c[n - k], L ** k) for k in range(n, -1, -1)])
 
 
 def _close_big_pairs(fq: QPoly, p: int, g: Fraction, small_count: int) -> int:

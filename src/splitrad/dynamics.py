@@ -35,9 +35,14 @@ _ONE = {FIELD_Q: 1, FIELD_QT: RatFunc.const(1)}
 
 
 class Poly:
-    """Dense polynomial a_0..a_d over the ground field, a_d != 0, d >= 2."""
+    """Dense polynomial a_0..a_d over the ground field, a_d != 0, d >= 2.
 
-    __slots__ = ("coeffs", "field")
+    A Poly is never changed after construction, so what is derived from it
+    alone (critical points, centre, bad primes) is computed once and kept in
+    _memo, which equality, hashing, repr and pickling ignore.
+    """
+
+    __slots__ = ("coeffs", "field", "_memo")
 
     def __init__(self, coeffs, field: str = FIELD_Q):
         cs = poly_trim(list(map(_ground(field), coeffs)))
@@ -86,6 +91,18 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({print_poly(self)!r})"
 
+    def __getstate__(self):
+        return None, {"coeffs": self.coeffs, "field": self.field}
+
+    def _once(self, key: str, compute):
+        """compute(), kept under key for the life of this Poly; a raise keeps nothing."""
+        memo = getattr(self, "_memo", None)
+        if memo is None:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
 
 def iterate(f: Poly, z, n: int) -> list:
     """Exact orbit [z, f(z), ..., f^n(z)]."""
@@ -116,11 +133,12 @@ def center(f: Poly) -> tuple[Poly, object]:
     """Translation conjugate with zero z^{d-1} coefficient; returns (g, shift).
 
     g = mu o f o mu^{-1} for mu(z) = z + shift with shift = a_{d-1}/d.
+    Computed once per Poly.
     """
     if not f.is_monic():
         raise DomainError("centering needs a monic polynomial")
     shift = f[f.degree - 1] * Fraction(1, f.degree)
-    return conjugate(f, 1, shift), shift
+    return f._once("center", lambda: (conjugate(f, 1, shift), shift))
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +401,20 @@ def _monomial(coeff_str: str, i: int, always_coeff: bool) -> str:
 # ---------------------------------------------------------------------------
 
 def critical_points(f: Poly) -> tuple[list[tuple[Fraction, int]], list[QPoly]]:
-    """Rational roots of f' with multiplicity, plus leftover irreducible factors of f'."""
+    """Rational roots of f' with multiplicity, plus leftover irreducible factors of f'.
+
+    Computed once per Poly; each call returns fresh lists.
+    """
     if f.field != FIELD_Q:
         raise DomainError("critical points are computed over Q")
-    factors = irreducible_factors(f.derivative_qpoly())
-    roots = sorted((-g[0], mult) for g, mult in factors if g.degree() == 1)
-    leftovers = [g for g, mult in factors if g.degree() > 1 for _ in range(mult)]
-    return roots, leftovers
+
+    def compute():
+        factors = irreducible_factors(f.derivative_qpoly())
+        return (tuple(sorted((-g[0], mult) for g, mult in factors if g.degree() == 1)),
+                tuple(g for g, mult in factors if g.degree() > 1 for _ in range(mult)))
+
+    roots, leftovers = f._once("critical_points", compute)
+    return list(roots), list(leftovers)
 
 
 def superattracting_cycles(f: Poly, m_max: int) -> list[tuple[tuple[Fraction, ...], int]]:
@@ -465,11 +490,16 @@ def candidate_bad_primes(f: Poly) -> list[int]:
     If p divides no coefficient denominator, the leading coefficient is a
     p-unit and p > d, then f is p-integral with unit top degree, its critical
     points are p-integral, and every p-integral orbit stays bounded.
+    Computed once per Poly; each call returns a fresh list.
     """
     if f.field != FIELD_Q:
         raise DomainError("bad primes are computed over Q")
-    primes = prime_support(*(c.denominator for c in f.coeffs), f.lc.numerator)
-    return sorted({*primes, *(q for q in range(2, f.degree + 1) if is_prime(q))})
+
+    def compute():
+        primes = prime_support(*(c.denominator for c in f.coeffs), f.lc.numerator)
+        return tuple(sorted({*primes, *(q for q in range(2, f.degree + 1) if is_prime(q))}))
+
+    return list(f._once("candidate_bad_primes", compute))
 
 
 def _search_box(f: Poly):

@@ -437,8 +437,8 @@ def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
 # parabolic fixed points
 # ---------------------------------------------------------------------------
 
-# the mod-p screen of _screen_clears uses the first of these that it may
-_SCREEN_PRIMES = (1000003, 1000033, 1000037)
+# the mod-p screen of _screen_clears uses the first prime from here on that it may
+_SCREEN_START = 1000003
 
 
 @lru_cache(maxsize=None)
@@ -467,16 +467,14 @@ def _screen_clears(f: Poly) -> bool:
     lc(f).  Then p does not divide the leading coefficient of the primitive integer
     form of h, nor (Gauss's lemma) that of any factor of it, so a nonconstant factor
     of g keeps its degree mod p and divides both reductions: a constant gcd mod p
-    proves g = 1.  When every prime of _SCREEN_PRIMES divides one of those numbers
-    the screen clears nothing.  The search over Q that follows can take seconds
-    (about 4 s for z^12 + (1/1000003)*z^2 + z/3 on one Intel Xeon core, Python
-    3.11), which is why there is more than one prime.
+    proves g = 1.  p is the first such prime from _SCREEN_START on; only finitely
+    many primes divide those numbers, so there always is one.
     """
-    usable = (p for p in _SCREEN_PRIMES
-              if f.lc.numerator % p and all(c.denominator % p for c in f.coeffs))
-    p = next(usable, None)
-    if p is None:
-        return False
+    p = _SCREEN_START
+    while f.lc.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs):
+        p += 2
+        while not is_prime(p):
+            p += 2
     h = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
     df = poly_derivative(h, p)
     h[1] = (h[1] - 1) % p

@@ -20,8 +20,8 @@ from .berkovich import (annulus_mass, annulus_membership_in_chain,
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
                        preperiodic_points, superattracting_cycles)
 from .intervals import Interval
-from .localheights import (critical_height_global, critical_height_local,
-                           splitting_exponent)
+from .localheights import (_splitting_exponent, critical_height_global,
+                           critical_height_local, splitting_exponent)
 from .places import FIELD_Q, Place, ProjectivePoint, naive_height, radical
 
 
@@ -78,6 +78,8 @@ def _superattracting_normalization(f: Poly, m_max: int = 6) -> tuple[Poly, Fract
         raise DomainError("map has no rational superattracting cycle within the period cap")
     cycle, m = min(cycles, key=lambda cm: cm[1])
     p0 = cycle[0]
+    if m == 1 and p0 == 0:
+        return f, p0, m  # f itself, with what its memo already holds
     fq = g = f.as_qpoly()
     for _ in range(m - 1):
         g = g.eval(fq)
@@ -112,10 +114,10 @@ def equidistribution_report(f: Poly, T, eps, m0: int,
     reports: list[PlaceReport] = []
     passing = LogValue.zero()
     total = LogValue.zero()
-    for p in candidate_bad_primes(F):
+    for p in candidate_bad_primes(F):  # proved primes; p > d does not divide d^m
         if p <= f.degree:
             continue
-        if splitting_exponent(F, p) <= 0:
+        if _splitting_exponent(F, p) <= 0:
             continue
         chain = inner_disk_chain(F, p, m0 + 1)
         wings = wing_clusters(F, p)
@@ -362,8 +364,8 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
             skips.append((label, "no superattracting fixed point at 0"))
             continue
         try:
-            if not any(p > f.degree and splitting_exponent(f, p) > 0
-                       for p in candidate_bad_primes(f)):
+            if not any(p > f.degree and _splitting_exponent(f, p) > 0
+                       for p in candidate_bad_primes(f)):  # proved primes, monic f
                 skips.append((label, "no bad place"))
                 continue
             hc = critical_height_global(f, tol)

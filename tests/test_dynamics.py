@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from splitrad import dynamics
-from splitrad.dynamics import (ParseError, Poly, PreperiodicPoint, center,
+from splitrad.dynamics import (ParseError, Poly, PreperiodicPoint, candidate_bad_primes, center,
                                conjugate, critical_points, iterate, parse_ground,
                                parse_poly, preperiodic_points, print_poly,
                                superattracting_cycles)
@@ -145,6 +146,41 @@ def test_critical_points_examples():
     # irrational critical points come back as irreducible factors
     roots, leftover = critical_points(parse_poly("z^3 + z"))
     assert roots == [] and len(leftover) == 1 and leftover[0].degree() == 2
+
+
+@pytest.mark.parametrize("text", ["z^3 + (1/5)*z^2", "z^4 - (2/9)*z^3 + (3/7)*z + 1/10",
+                                  "z^3 + z"])
+def test_per_map_data_is_kept_once_and_handed_out_fresh(text):
+    # critical points, centre and bad primes are kept on the Poly after the first call
+    f = parse_poly(text)
+    assert critical_points(f) == critical_points(f)
+    assert center(f) == center(f)
+    assert candidate_bad_primes(f) == candidate_bad_primes(f)
+    roots, leftovers = critical_points(f)
+    roots.append((F(99), 1))
+    leftovers.clear()
+    candidate_bad_primes(f).append(101)
+    fresh = parse_poly(text)
+    assert critical_points(f) == critical_points(fresh)
+    assert candidate_bad_primes(f) == candidate_bad_primes(fresh)
+    assert center(f) == center(fresh)
+    # the filled memo is invisible: equality, hash, repr and pickling see only the map
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert pickle.dumps(f) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f and critical_points(back) == critical_points(f)
+
+
+def test_per_map_memo_keeps_no_failure():
+    f = parse_poly("2*z^3 + z^2")
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            center(f)
+    g = parse_poly("z^2 + t*z", FIELD_QT)
+    for fn in (critical_points, candidate_bad_primes):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                fn(g)
 
 
 def test_superattracting_cycles():

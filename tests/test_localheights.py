@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from splitrad.dynamics import (Poly, _print_coeffs, conjugate, critical_points, 
                                preperiodic_points)
 from splitrad.exact import (DomainError, LogValue, UndeterminedError,
                             valuation)
-from splitrad.localheights import (_SCREEN_PRIMES, _parabolic_fixed_points, _screen_clears,
+from splitrad.localheights import (_SCREEN_START, _parabolic_fixed_points, _screen_clears,
                                    analyze, canonical_height, complex_root_boxes,
                                    critical_height_global,
                                    critical_height_local, escape_exponent,
@@ -274,8 +275,8 @@ def test_parabolic_critical_orbit_is_undetermined():
 # (map, its parabolic fixed point, the order q of the multiplier)
 PARABOLIC = [("z^2 + 1/4", F(1, 2), 1), ("z^3 + z", F(0), 1),
              ("z^2 - 3/4", F(-1, 2), 2), ("z^2 - z", F(0), 2)]
-# the first screen prime alone, or all of them, in a denominator or in lc(f)
-P1, ALL = _SCREEN_PRIMES[0], math.prod(_SCREEN_PRIMES)
+# the first screen prime alone, or it and the next two primes, in a denominator or in lc(f)
+P1, ALL = _SCREEN_START, _SCREEN_START * 1000033 * 1000037
 scales = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
                    st.sampled_from([F(P1), F(1, P1), F(-2, P1), F(ALL), F(1, ALL)]))
 shifts = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=5),
@@ -352,6 +353,16 @@ def test_parabolic_points_outside_the_argument_take_the_ordinary_path():
     assert _parabolic_fixed_points(parse_poly("z^2 - 3/4")) == [([F(1, 2), 1], 2)]
     with pytest.raises(UndeterminedError, match="no archimedean certificate within 400"):
         critical_height_local(parse_poly("z^2 - 3/4"), Place.arch(), 1e-6)
+
+
+def test_screen_takes_a_prime_that_divides_no_denominator():
+    # 1000003, 1000033 and 1000037 all divide a denominator, so the screen must go on to
+    # 1000039; the search over Q took 1.5 s on this map when the screen gave up instead
+    f = parse_poly("z^8 + (1/(1000003*1000033*1000037))*z^2 + z/3")
+    start = time.perf_counter()
+    assert _screen_clears(f) and _parabolic_fixed_points(f) == []
+    assert time.perf_counter() - start < 0.2
+    assert critical_height_local(f, Place.arch(), 1e-6).is_exactly_zero()
 
 
 def _multiplier_orders(f):

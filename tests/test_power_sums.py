@@ -1,5 +1,7 @@
-"""Polynomials built from power sums of roots, checked against rational roots."""
+"""Polynomials built from power sums of roots, checked against rational roots and against
+the earlier Fraction form of the difference polynomial."""
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
@@ -48,3 +50,28 @@ def test_pushforward_maps_roots(rs, f):
 def test_difference_poly_of_rational_roots(rs, lc):
     expect = from_roots([a - b for a in rs for b in rs])
     assert _difference_poly(from_roots(rs, lc)) == expect
+
+
+def reference_difference_poly(fq: QPoly) -> QPoly:
+    """The earlier _difference_poly: Newton's identities on Fractions throughout."""
+    n = fq.degree() ** 2
+    s = fq.power_sums(n)
+    return QPoly.from_power_sums([
+        sum((math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1)), F(0))
+        for k in range(n + 1)])
+
+
+# denominators with large primes and prime powers, so that the integer scaling matters
+coeffs = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 7, 5 ** 6, 1000003]))
+leading = coeffs.filter(bool)
+# no rational root at degree 2 or 3: irreducible, every root irrational
+irreducible = st.builds(lambda low, lc: QPoly(low + [lc]), st.lists(coeffs, min_size=2, max_size=3),
+                        leading).filter(lambda q: not q.rational_roots())
+general = st.builds(lambda low, lc: QPoly(low + [lc]), st.lists(coeffs, min_size=2, max_size=5),
+                    leading)  # degree 2..5, any leading coefficient
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(irreducible, general))
+def test_difference_poly_matches_the_fraction_reference(fq):
+    assert _difference_poly(fq) == reference_difference_poly(fq)

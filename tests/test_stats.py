@@ -14,6 +14,7 @@ from splitrad.qpoly import QPoly, RatFunc
 from splitrad.stats import (AbcTriple, abc_quality, epsilon_good_fraction,
                             epsilon_good_sum, equidistribution_report,
                             pair_moment, rows_to_csv, theorem_experiment)
+import splitrad.dynamics
 import splitrad.stats
 from splitrad import exact
 from splitrad.stats import _weight_ratio
@@ -294,6 +295,22 @@ def test_theorem_experiment_checks_the_parameter_prime_once_per_entry_point(monk
     # 20 checks of 101 (factorize, Place.finite and the public entry points that
     # take p) against 39 valuations at 101; 56 checks when every valuation proved p
     assert checks.count(101) <= 24 < valuations.count(101)
+
+
+@pytest.mark.parametrize("family", ["z^3 + (1/a)*z^2", "z^5 + (1/a)*z^2"])
+def test_theorem_experiment_factors_each_derivative_once(monkeypatch, family):
+    # the critical points of a map are kept on it, so f' is factored once per value
+    calls = []
+    real = splitrad.dynamics.irreducible_factors
+
+    def irreducible_factors(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(splitrad.dynamics, "irreducible_factors", irreducible_factors)
+    rows, skips = theorem_experiment(family, "a", [7, 11, 13])
+    assert rows and not skips
+    assert len(calls) == 3
 
 
 def test_theorem_experiment_skips():
