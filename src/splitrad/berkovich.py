@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import (DomainError, LogValue, UndeterminedError, _valuation, is_prime,
-                    valuation)
+from .exact import DomainError, LogValue, UndeterminedError, is_prime, valuation
 from .dynamics import Poly
 from .localheights import newton_polygon, splitting_exponent
 from .places import FIELD_Q, Place
@@ -89,7 +88,7 @@ def _gauss_solve(coeffs, p: int, target: Fraction) -> Fraction:
 
     coeffs are a_0, a_1, ...; a_0 does not enter, and some a_i with i >= 1 is nonzero.
     """
-    return min((target + _valuation(c, p)) / i for i, c in enumerate(coeffs) if i and c)
+    return min((target + valuation(c, p)) / i for i, c in enumerate(coeffs) if i and c)
 
 
 def inner_disk_chain(f: Poly, p: int, depth: int) -> DiskChain:
@@ -287,7 +286,7 @@ def _count_components(f: Poly, p: int, g: Fraction,
     for i in range(n):
         for j in range(i + 1, n):
             diff = members[i][0] - members[j][0]
-            dist = Fraction(-_valuation(diff, p)) if diff != 0 else None
+            dist = Fraction(-valuation(diff, p)) if diff != 0 else None
             if dist is None or dist <= max(radii[i], radii[j]):
                 pi, pj = find(i), find(j)
                 if pi != pj:
@@ -296,7 +295,7 @@ def _count_components(f: Poly, p: int, g: Fraction,
 
 
 def _mod_reduce(x: Fraction, p: int) -> int:
-    if _valuation(x, p) < 0:
+    if valuation(x, p) < 0:
         raise ValueError("not p-integral")
     return x.numerator * pow(x.denominator, -1, p) % p
 
@@ -322,10 +321,10 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
     d = f.degree
     fq = f.as_qpoly()
     rational = fq.rational_roots()
-    if any(r != 0 and Fraction(-_valuation(r, p)) > g for r, _ in rational):
+    if any(r != 0 and Fraction(-valuation(r, p)) > g for r, _ in rational):
         raise UndeterminedError("rational root outside the splitting disk; inconsistent data")
-    small_members = [(r, m) for r, m in rational if r == 0 or Fraction(-_valuation(r, p)) < g]
-    big_members = [(r, m) for r, m in rational if r != 0 and Fraction(-_valuation(r, p)) == g]
+    small_members = [(r, m) for r, m in rational if r == 0 or Fraction(-valuation(r, p)) < g]
+    big_members = [(r, m) for r, m in rational if r != 0 and Fraction(-valuation(r, p)) == g]
     residues: list[tuple[int, int]] = []  # (F_p residue of p^g * root, count)
     outer: list[int] = []                 # counts of the centre-less clusters
 
@@ -333,7 +332,7 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
         # one digit of precision: substitute w = p^g z (so the outermost roots
         # become units), reduce mod p, and read residues
         scaled = [f[j] * Fraction(p) ** (-int(g) * j) for j in range(d + 1)]
-        vmin = min(_valuation(c, p) for c in scaled if c != 0)
+        vmin = min(valuation(c, p) for c in scaled if c != 0)
         hbar = poly_trim([_mod_reduce(c / Fraction(p) ** vmin, p) for c in scaled])
         if len(hbar) - 1 != d:
             raise UndeterminedError("scaled reduction degenerated; root outside splitting disk")
@@ -457,5 +456,5 @@ def hsia_energy(points, v) -> LogValue:
     for i in range(n):
         for j in range(n):
             if i != j:
-                total += -_valuation(pts[i] - pts[j], v.p)
+                total += -valuation(pts[i] - pts[j], v.p)
     return LogValue.from_log(v.p, total / (n * (n - 1)))

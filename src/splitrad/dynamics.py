@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DomainError, UndeterminedError, _valuation, divisors, is_prime,
-                    prime_support)
+from .exact import (DomainError, UndeterminedError, divisors, is_prime, prime_support,
+                    valuation)
 from .places import FIELD_Q, FIELD_QT, _ground
 from .qpoly import (QPoly, RatFunc, format_tpoly, irreducible_factors, poly_add,
                     poly_derivative, poly_horner, poly_mul, poly_shift, poly_trim)
@@ -470,17 +470,12 @@ def escape_exponent(f: Poly, p: int) -> Fraction:
     """log_p theta_p: beyond radius p^s, |f(z)|_p = |a_d|_p |z|_p^d exactly."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _escape_exponent(f, p)
-
-
-def _escape_exponent(f: Poly, p: int) -> Fraction:
-    """escape_exponent(f, p) for a p the caller has already proved prime."""
     d = f.degree
-    vd = _valuation(f.lc, p)
+    vd = valuation(f.lc, p)
     s = Fraction(vd, d - 1)
     for i in range(d):
         if f[i] != 0:
-            s = max(s, Fraction(vd - _valuation(f[i], p), d - i))
+            s = max(s, Fraction(vd - valuation(f[i], p), d - i))
     return s
 
 
@@ -506,7 +501,7 @@ def _search_box(f: Poly):
     """(arch bound R, denominator bound B, forced numerator divisor F)."""
     B, F = 1, 1
     for p in candidate_bad_primes(f):
-        s = _escape_exponent(f, p)
+        s = escape_exponent(f, p)
         if s > 0:
             B *= p ** math.floor(s)
         elif s < 0:

@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .intervals import Interval
 
@@ -130,12 +131,21 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=1024, typed=True)
 def is_prime(n: int) -> bool:
     """Primality: deterministic below 2^64, Baillie-PSW above.
 
     Below 2^64 the fixed Miller-Rabin bases _MR_BASES are a proof.  Above
     it, Baillie-PSW (a strong base-2 test and a strong Lucas test) has no
     known counterexample, but that is not a proof.
+
+    Each verdict is memoized, so every entry point that takes a prime p
+    proves it again at the cost of one lookup.  The verdict is a pure
+    function of one int, and the cache, like those in qpoly and
+    localheights._unity_orders, has a fixed size and holds only ints and
+    bools, never a Poly.  An untyped lru_cache may treat equal arguments of different
+    types as one call; typed=True keeps a non-int such as Fraction(1000003)
+    off the entry of the equal int, so it still raises TypeError.
     """
     if n < 2:
         return False
@@ -264,11 +274,6 @@ def valuation(x, p: int):
     """p-adic valuation v_p(x) of a rational x, with v_p(0) = +inf."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _valuation(x, p)
-
-
-def _valuation(x, p: int):
-    """valuation(x, p) for a p the caller has already proved prime."""
     x = Fraction(x)
     if x == 0:
         return INFINITY

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (DomainError, LogValue, UndeterminedError, _valuation, prime_support,
-                    is_prime)
-from .dynamics import (Poly, _escape_exponent, _print_coeffs, candidate_bad_primes, center,
-                       critical_points, escape_exponent)
+from .exact import DomainError, LogValue, UndeterminedError, is_prime, prime_support, valuation
+from .dynamics import (Poly, _print_coeffs, candidate_bad_primes, center, critical_points,
+                       escape_exponent)
 from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
 from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_gcd, poly_horner,
@@ -95,13 +94,8 @@ def newton_polygon(f, p: int) -> NewtonPolygon:
     """Newton polygon at p of a Poly over Q or a QPoly."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _newton_polygon(f, p)
-
-
-def _newton_polygon(f, p: int) -> NewtonPolygon:
-    """newton_polygon(f, p) for a p the caller has already proved prime."""
     coeffs = f.coeffs
-    vals = [(i, Fraction(_valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
+    vals = [(i, Fraction(valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
     if not vals:
         raise DomainError("Newton polygon of the zero polynomial")
     return newton_polygon_from_valuations(vals, len(coeffs) - 1)
@@ -127,18 +121,12 @@ def splitting_exponent(f: Poly, p: int) -> Fraction:
         raise DomainError(f"{p} is not prime")
     if d % p == 0:
         raise DomainError(f"no splitting verdict at p={p} dividing d={d}")
-    return _splitting_exponent(f, p)
-
-
-def _splitting_exponent(f: Poly, p: int) -> Fraction:
-    """splitting_exponent(f, p) for a monic f over Q and a prime p the caller holds, p not dividing d."""
-    d = f.degree
     g, _ = center(f)
     s = None
     for i in range(d - 1):  # coefficients 0..d-2 of the centered form
         c = g[i]
         if c != 0:
-            cand = Fraction(-_valuation(c, p), d - i)
+            cand = Fraction(-valuation(c, p), d - i)
             s = cand if s is None else max(s, cand)
     return s if s is not None else Fraction(-10 ** 9)  # all inner coefficients vanish: z^d
 
@@ -161,15 +149,15 @@ def _invariant_disk_range(shifted: QPoly, c: Fraction, p: int):
     shifted holds the Taylor coefficients of f at c.
     """
     f1 = shifted[1]
-    if f1 != 0 and _valuation(f1, p) < 0:
+    if f1 != 0 and valuation(f1, p) < 0:
         return None
     delta = shifted[0] - c
-    lo = Fraction(-_valuation(delta, p)) if delta != 0 else None
+    lo = Fraction(-valuation(delta, p)) if delta != 0 else None
     hi = None
     for j in range(2, shifted.degree() + 1):
         cj = shifted[j]
         if cj != 0:
-            cand = Fraction(_valuation(cj, p), j - 1)
+            cand = Fraction(valuation(cj, p), j - 1)
             hi = cand if hi is None else min(hi, cand)
     if hi is None:
         return None
@@ -184,15 +172,10 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
         raise DomainError("non-archimedean escape rates run over Q")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _escape_rate_nonarch(f, p, z, maxiter)
-
-
-def _escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
-    """escape_rate_nonarch over Q for a p the caller has already proved prime."""
-    s_esc = _escape_exponent(f, p)
+    s_esc = escape_exponent(f, p)
     z = Fraction(z)
     d = f.degree
-    c_p = Fraction(-_valuation(f.lc, p), d - 1)
+    c_p = Fraction(-valuation(f.lc, p), d - 1)
     fq = f.as_qpoly()
     cur = z
     seen: set[Fraction] = set()
@@ -201,7 +184,7 @@ def _escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
             return LogValue.zero()
         seen.add(cur)
         if cur != 0:
-            t = Fraction(-_valuation(cur, p))
+            t = Fraction(-valuation(cur, p))
             if t > s_esc:
                 return LogValue.from_log(p, (t + c_p) / d ** n)
         shifted = fq.shift(cur)
@@ -591,12 +574,12 @@ def _pushforward(h: QPoly, f: Poly) -> QPoly:
 def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
     """max_a lambda_p(a) over critical points a, in log_p units (exact)."""
     d = f.degree
-    s_esc = _escape_exponent(f, p)
-    c_p = Fraction(-_valuation(f.lc, p), d - 1)
+    s_esc = escape_exponent(f, p)
+    c_p = Fraction(-valuation(f.lc, p), d - 1)
     roots, leftovers = critical_points(f)
     best = Fraction(0)
     for r, _ in roots:
-        lam = _escape_rate_nonarch(f, p, r)
+        lam = escape_rate_nonarch(f, p, r)
         best = max(best, lam.logs.get(p, Fraction(0)))
     residual = QPoly.const(1)
     for g in leftovers:
@@ -605,12 +588,12 @@ def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
         return best
     # invariant disk about 0 traps every root of size <= t_hi
     inv = _invariant_disk_range(f.as_qpoly(), Fraction(0), p)
-    b_exp = max(Fraction(i) * s_esc - _valuation(f[i], p)
+    b_exp = max(Fraction(i) * s_esc - valuation(f[i], p)
                 for i in range(d + 1) if f[i] != 0)
     lam_bar = max(Fraction(0), b_exp + c_p)
     h = residual.monic()
     for n in range(depth + 1):
-        np_h = _newton_polygon(h, p)
+        np_h = newton_polygon(h, p)
         m_slope = np_h.max_slope()
         if inv is not None and (m_slope is None or m_slope <= inv[1]):
             return best  # every residual image fits in an invariant disk about 0
@@ -652,9 +635,9 @@ def critical_height_local(f: Poly, v: Place, tol: float = 1e-9) -> LogValue:
         return LogValue.from_interval(Interval(max(acc.lo, 0.0), max(acc.hi, 0.0)))
     if v.kind != Place.FINITE:
         raise DomainError(f"unsupported place {v!r} for a map over Q")
-    p = v.p  # proved prime by Place.finite: the helpers below skip the check
+    p = v.p
     if f.is_monic() and p > f.degree:
-        s = _splitting_exponent(f, p)
+        s = splitting_exponent(f, p)
         return LogValue.from_log(p, s) if s > 0 else LogValue.zero()
     lam = _lambda_crit_finite_general(f, p)
     return LogValue.from_log(p, lam) if lam != 0 else LogValue.zero()
@@ -680,8 +663,8 @@ def canonical_height(f: Poly, z, tol: float = 1e-9, nonarch_maxiter: int = 30,
     z = Fraction(z)
     primes = set(candidate_bad_primes(f)).union(prime_support(z.denominator))
     total = escape_rate_arch(f, z, tol, maxiter=arch_maxiter)
-    for p in sorted(primes):  # factors of integers: already proved prime
-        total = total + _escape_rate_nonarch(f, p, z, maxiter=nonarch_maxiter)
+    for p in sorted(primes):
+        total = total + escape_rate_nonarch(f, p, z, maxiter=nonarch_maxiter)
     return total
 
 

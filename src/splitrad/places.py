@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import DomainError, LogValue, _valuation, is_prime, prime_support
+from .exact import DomainError, LogValue, is_prime, prime_support, valuation
 from .qpoly import QPoly, RatFunc, format_tpoly, irreducible_factors
 
 FIELD_Q = "Q"
@@ -78,7 +78,7 @@ class Place:
                 return x.valuation_at_infinity()
             raise DomainError(f"place {self!r} does not apply to Q(t)")
         if self.kind == Place.FINITE:
-            return _valuation(x, self.p)  # p was proved prime in __init__
+            return valuation(x, self.p)
         if self.kind == Place.ARCH:
             raise DomainError("archimedean place has no valuation")
         raise DomainError(f"place {self!r} does not apply to Q")

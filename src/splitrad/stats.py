@@ -13,15 +13,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, _valuation,
-                    prime_support)
+from .exact import DomainError, INFINITY, LogValue, UndeterminedError, prime_support, valuation
 from .berkovich import (annulus_mass, annulus_membership_in_chain,
                         AnnulusPosition, inner_disk_chain, wing_clusters)
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
                        preperiodic_points, superattracting_cycles)
 from .intervals import Interval
-from .localheights import (_splitting_exponent, critical_height_global,
-                           critical_height_local, splitting_exponent)
+from .localheights import critical_height_global, critical_height_local, splitting_exponent
 from .places import FIELD_Q, Place, ProjectivePoint, naive_height, radical
 
 
@@ -114,10 +112,10 @@ def equidistribution_report(f: Poly, T, eps, m0: int,
     reports: list[PlaceReport] = []
     passing = LogValue.zero()
     total = LogValue.zero()
-    for p in candidate_bad_primes(F):  # proved primes; p > d does not divide d^m
+    for p in candidate_bad_primes(F):  # a prime p > d does not divide d^m
         if p <= f.degree:
             continue
-        if _splitting_exponent(F, p) <= 0:
+        if splitting_exponent(F, p) <= 0:
             continue
         chain = inner_disk_chain(F, p, m0 + 1)
         wings = wing_clusters(F, p)
@@ -134,10 +132,11 @@ def equidistribution_report(f: Poly, T, eps, m0: int,
         wing_thr = (1 - eps) * Fraction(1, d_wing)
         wings_ok = all(Fraction(c, n) > wing_thr for c in wing_raw)
         verdict = ann_ok and wings_ok
-        lam = critical_height_local(f, Place.finite(p), tol)
+        v = Place.finite(p)
+        lam = critical_height_local(f, v, tol)
         labels = [str(c.center) if c.center is not None else f"cluster{i}"
                   for i, c in enumerate(wings.clusters)]
-        reports.append(PlaceReport(Place.finite(p), ann_count, mass,
+        reports.append(PlaceReport(v, ann_count, mass,
                                    tuple(zip(labels, wing_raw)), verdict, lam))
         total = total + lam
         if verdict:
@@ -194,8 +193,8 @@ class EpsilonGoodResult:
 
 def _place_is_good(f: Poly, q: int) -> bool:
     """Good-reduction certificate at a prime q > d (never called inside S_d)."""
-    integral = all(_valuation(c, q) >= 0 for c in f.coeffs if c != 0)
-    if integral and _valuation(f.lc, q) == 0:
+    integral = all(valuation(c, q) >= 0 for c in f.coeffs if c != 0)
+    if integral and valuation(f.lc, q) == 0:
         return True
     if f.is_monic() and f.degree % q != 0:
         return splitting_exponent(f, q) <= 0
@@ -211,7 +210,7 @@ def epsilon_good_sum(f: Poly, alpha) -> LogValue:
     total = -LogValue.log_abs(alpha)  # archimedean term, exact
     for q in sorted(total.logs):  # log|alpha| has factored alpha: its primes are the finite places
         if q <= d or _place_is_good(f, q):
-            total = total + LogValue.from_log(q, _valuation(alpha, q))
+            total = total + LogValue.from_log(q, valuation(alpha, q))
     return total
 
 
@@ -252,7 +251,7 @@ def _pair_term(zi: Fraction, zj: Fraction, d: int) -> LogValue:
     for q in prime_support(zi, zj):
         if q <= d:
             continue
-        m = min(_valuation(zi, q), _valuation(zj, q))
+        m = min(valuation(zi, q), valuation(zj, q))
         if m != 0 and m != INFINITY:
             out = out + LogValue.from_log(q, -m)
     return out
@@ -364,8 +363,8 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
             skips.append((label, "no superattracting fixed point at 0"))
             continue
         try:
-            if not any(p > f.degree and _splitting_exponent(f, p) > 0
-                       for p in candidate_bad_primes(f)):  # proved primes, monic f
+            if not any(p > f.degree and splitting_exponent(f, p) > 0
+                       for p in candidate_bad_primes(f)):
                 skips.append((label, "no bad place"))
                 continue
             hc = critical_height_global(f, tol)

@@ -1,8 +1,10 @@
+import ast
 import bisect
 import math
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -181,6 +183,38 @@ _products = st.one_of(st.builds(lambda p, q: p * q, _big_prime, _big_prime),
 @given(st.one_of(_odd, _big_prime, _products).filter(lambda n: n > 2 ** 64))
 def test_is_prime_matches_sympy_above_2_64(n):
     assert is_prime(n) == sympy.isprime(n)
+
+
+# Carmichael numbers, base-2 strong pseudoprimes, and semiprimes above 2^64
+_PRIMALITY_TRAPS = [561, 41041, 2047, 3215031751, (2 ** 61 - 1) * (2 ** 31 - 1),
+                    (2 ** 61 - 1) ** 2, (2 ** 89 - 1) * (2 ** 61 - 1), 2 ** 61 - 1, 1000003]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_PRIMALITY_TRAPS), st.integers(-5, 10 ** 6),
+                          st.integers(2 ** 64, 2 ** 80)), min_size=1, max_size=20))
+def test_is_prime_cache_agrees_with_the_uncached_test(ns):
+    # interleaved draws, then the same ints again in reverse: hits and misses mixed
+    for n in ns + ns[::-1]:
+        assert is_prime(n) == is_prime.__wrapped__(n)
+
+
+def test_is_prime_cache_keeps_non_ints_out():
+    # Fraction(1000003) hashes and compares equal to 1000003; typed keys keep them apart
+    assert is_prime(1000003)
+    with pytest.raises(TypeError):
+        is_prime(F(1000003))
+
+
+def test_no_module_defines_an_unchecked_twin():
+    # each exported name is the only path to its work: no `name` next to a `_name`
+    twins = []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        twins += [f"{path.stem}.{n}" for n in sorted(names) if n.startswith("_") and n[1:] in names]
+    assert twins == []
 
 
 def test_factorize_gives_up_at_the_rho_budget():

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import splitrad as sr
 from splitrad import cli
@@ -94,14 +94,38 @@ def test_full_pool_entry(workload, kind, idx, tmp_path):
 small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
+def _is_preperiodic(f, z, steps=64, bits=4096):
+    """True once the exact orbit of z repeats; False if it does not within the caps.
+
+    A point that is not preperiodic has an orbit whose height grows like d^n,
+    so the bit cap ends the walk; the step cap bounds it in any case.
+    """
+    seen = set()
+    for _ in range(steps):
+        if z in seen:
+            return True
+        seen.add(z)
+        z = f(z)
+        if z.numerator.bit_length() + z.denominator.bit_length() > bits:
+            return False
+    return False
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small, min_size=3, max_size=5).filter(lambda cs: cs[-1] != 0), small)
+# orbits that land on a repelling cycle: 100-digit mpmath leaves the cycle and escapes
+@example([Fraction(1), Fraction(-4, 3), Fraction(-1)], Fraction(0))
+@example([Fraction(-5, 6), Fraction(-5, 6), Fraction(2)], Fraction(0))
+@example([Fraction(-7, 3), Fraction(4, 3), Fraction(1)], Fraction(0))
 def test_escape_rate_arch_encloses_mpmath(coeffs, z):
     f = sr.Poly(coeffs)
     try:
         lam = sr.escape_rate_arch(f, z)
     except sr.UndeterminedError:
         return  # no certificate, nothing claimed
+    if _is_preperiodic(f, z):
+        assert lam.is_exactly_zero()  # exact orbits decide it; the float oracle cannot
+        return
     ref = oracle.mp_escape_rate(coeffs, z)
     ref = Fraction(int(ref.man)) * Fraction(2) ** int(ref.exp)  # the binary value, exactly
     assert Fraction(lam.err.lo) <= ref <= Fraction(lam.err.hi)

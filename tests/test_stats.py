@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -271,30 +270,22 @@ def test_theorem_experiment_csv_regression():
     )
 
 
-def test_theorem_experiment_checks_the_parameter_prime_once_per_entry_point(monkeypatch):
-    """Callers that hold a proved prime take valuations without re-proving it."""
-    checks, valuations = [], []
-    real_is_prime, real_valuation = exact.is_prime, exact._valuation
+@pytest.mark.parametrize("family", ["z^3 + (1/a)*z^2", "z^5 + (1/a)*z^2"])
+def test_theorem_experiment_runs_miller_rabin_once_per_prime(monkeypatch, family):
+    """Every entry point proves its p, and the is_prime cache makes each proof run once."""
+    witnesses = []
+    real = exact._mr_witness
 
-    def is_prime(n):
-        checks.append(n)
-        return real_is_prime(n)
+    def _mr_witness(n, a):
+        witnesses.append((n, a))
+        return real(n, a)
 
-    def _valuation(x, p):
-        valuations.append(p)
-        return real_valuation(x, p)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("splitrad"):
-            if getattr(mod, "is_prime", None) is real_is_prime:
-                monkeypatch.setattr(mod, "is_prime", is_prime)
-            if getattr(mod, "_valuation", None) is real_valuation:
-                monkeypatch.setattr(mod, "_valuation", _valuation)
-    rows, skips = theorem_experiment("z^3 + (1/a)*z^2", "a", [101])
+    monkeypatch.setattr(exact, "_mr_witness", _mr_witness)
+    exact.is_prime.cache_clear()
+    rows, skips = theorem_experiment(family, "a", [101])
     assert rows and not skips
-    # 20 checks of 101 (factorize, Place.finite and the public entry points that
-    # take p) against 39 valuations at 101; 56 checks when every valuation proved p
-    assert checks.count(101) <= 24 < valuations.count(101)
+    assert (101, 2) in witnesses  # the parameter prime was proved, by Miller-Rabin
+    assert len(witnesses) == len(set(witnesses))  # and no (n, base) round ran twice
 
 
 @pytest.mark.parametrize("family", ["z^3 + (1/a)*z^2", "z^5 + (1/a)*z^2"])
