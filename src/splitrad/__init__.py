@@ -28,28 +28,33 @@ from .localheights import (LocalProfile, NewtonPolygon, analyze,
                            critical_height_local, escape_rate_arch,
                            escape_rate_nonarch, newton_polygon,
                            splitting_exponent, splitting_radius)
-from .berkovich import (AnnulusPosition, ChainLevel, DiskChain, WingCluster,
-                        WingClusters, annulus_mass, annulus_membership,
-                        hsia_energy, inner_disk_chain, wing_clusters)
-from .stats import (AbcQuality, AbcTriple, EquidistributionReport,
-                    PairMomentResult, abc_quality, epsilon_good_fraction,
-                    epsilon_good_sum, equidistribution_report, pair_moment,
-                    theorem_experiment)
 
 __version__ = "0.1.0"
 
-# plotting needs numpy; it loads on first use, not with the package
-_PLOTTING = ("contour_polylines", "equipotential_svg", "escape_rate_grid")
+# These names load their module on first use: most subcommands need neither
+# berkovich nor stats, and plotting needs numpy.
+_LAZY = {name: module for module, names in (
+    ("berkovich", "AnnulusPosition ChainLevel DiskChain WingCluster WingClusters annulus_mass "
+                  "annulus_membership hsia_energy inner_disk_chain wing_clusters"),
+    ("stats", "AbcQuality AbcTriple EquidistributionReport PairMomentResult abc_quality "
+              "epsilon_good_fraction epsilon_good_sum equidistribution_report pair_moment "
+              "theorem_experiment"),
+    ("plotting", "contour_polylines equipotential_svg escape_rate_grid"),
+) for name in (module, *names.split())}
+
+# import * loads berkovich and stats, but not numpy
+__all__ = [n for n in [*globals(), *_LAZY] if n[0] != "_" and _LAZY.get(n) != "plotting"]
 
 
 def __getattr__(name):
-    if name == "plotting" or name in _PLOTTING:
-        import importlib
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        plotting = importlib.import_module(".plotting", __name__)
-        return plotting if name == "plotting" else getattr(plotting, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    globals()[name] = value = module if name == _LAZY[name] else getattr(module, name)
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | {"plotting", *_PLOTTING})
+    return sorted(set(globals()) | set(_LAZY))

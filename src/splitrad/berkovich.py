@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import DomainError, LogValue, UndeterminedError, is_prime, valuation
+from .exact import DomainError, Frozen, LogValue, UndeterminedError, Value, is_prime, valuation
 from .dynamics import Poly
 from .localheights import newton_polygon, splitting_exponent
 from .places import FIELD_Q, Place
@@ -37,16 +36,14 @@ from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_gcd, pol
 # descending disk chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainLevel:
+class ChainLevel(Frozen):
     t: Fraction      # log_p radius of the level disk
     k: int           # local degree of f on it
     mass: Fraction   # equilibrium mass
     q: int           # least q with q*t an integer (radius denominator)
 
 
-@dataclass(frozen=True)
-class DiskChain:
+class DiskChain(Frozen):
     p: int
     degree: int
     g: Fraction                      # splitting exponent (log_p units)
@@ -223,8 +220,7 @@ def _fp_roots(a: list[int], p: int) -> list[int]:
 # wing clusters
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WingCluster:
+class WingCluster(Value):
     center: Fraction | None     # certified rational approximation (None: extension residue)
     count: int                  # roots of f in the cluster, with multiplicity
     mass: Fraction              # count / d
@@ -241,8 +237,7 @@ class WingCluster:
         }
 
 
-@dataclass
-class WingClusters:
+class WingClusters(Value):
     p: int
     degree: int
     g: Fraction                       # cross-distance between clusters, log_p units

@@ -11,15 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, UndeterminedError
-from .berkovich import inner_disk_chain, wing_clusters
+from .exact import DomainError, UndeterminedError, Value
 from .dynamics import parse_ground, parse_poly, preperiodic_points, print_poly
 from .localheights import analyze, canonical_height, critical_height_global
-from .stats import (AbcTriple, abc_quality, equidistribution_report,
-                    rows_to_csv, theorem_experiment)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,8 +25,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Value):
     """Validated run parameters shared by the subcommands."""
 
     tol: float = 1e-9
@@ -41,11 +36,11 @@ class RunConfig:
     eps: Fraction = Fraction(1, 2)
     grid: int = 600
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not self.tol > 0:
             raise DomainError("tolerance must be positive")
-        if min(self.nonarch_maxiter, self.arch_maxiter, self.depth,
-               self.m0, self.grid) < 1:
+        if min(self.nonarch_maxiter, self.arch_maxiter, self.depth, self.m0, self.grid) < 1:
             raise DomainError("iteration caps and sizes must be >= 1")
 
 
@@ -71,10 +66,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _jdump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_points(text: str, field: str):
@@ -151,21 +142,23 @@ _NATURAL_FORMAT = {
 }
 
 
-# RunConfig fields a --config file may set, with the type each value is read
-# as; the two maxiter caps have no flag.
-_CONFIG_CASTS = {"tol": float, "nonarch_maxiter": int, "arch_maxiter": int, "depth": int,
-                 "m0": int, "eps": Fraction, "grid": int}
-
-
 def _build_config(args, cfg) -> RunConfig:
-    """A flag wins over the --config value, which wins over RunConfig's default."""
+    """A flag wins over the --config value, which wins over RunConfig's default.
+
+    A --config file may set any RunConfig field (the two maxiter caps have no
+    flag); each value is read as the type of the field's default.
+    """
+    unknown = sorted(set(cfg) - set(RunConfig._fields))
+    if unknown:
+        raise DomainError(f"unknown --config key(s) {', '.join(unknown)}; "
+                          f"accepted: {', '.join(RunConfig._fields)}")
     given = {}
-    for key, cast in _CONFIG_CASTS.items():
+    for key in RunConfig._fields:
         v = getattr(args, key, None)
         if v is None:
             v = cfg.get(key)
         if v is not None:
-            given[key] = cast(v)
+            given[key] = type(getattr(RunConfig, key))(v)
     return RunConfig(**given)
 
 
@@ -177,98 +170,69 @@ def _run(args) -> int:
     if args.fmt is not None and args.fmt != natural:
         raise DomainError(f"{args.command} emits {natural}, not {args.fmt}")
 
+    # out is the JSON payload, or the CSV/SVG text; berkovich, stats and
+    # plotting (numpy) load only in the branches that use them
+    f = parse_poly(args.poly, args.field) if hasattr(args, "poly") else None
     if args.command == "analyze":
-        f = parse_poly(args.poly, args.field)
         profiles, hcrit = analyze(f, tol)
-        payload = {
+        out = {
             "poly": print_poly(f),
             "places": {pr.place.label(): pr.to_json() for pr in profiles},
             "h_crit": hcrit.to_json(),
         }
-        _emit(args, _jdump(payload))
-        return 0
-
-    if args.command == "hcrit":
-        f = parse_poly(args.poly, args.field)
-        hc = critical_height_global(f, tol)
-        _emit(args, _jdump({"poly": print_poly(f), "h_crit": hc.to_json()}))
-        return 0
-
-    if args.command == "canonical-height":
-        f = parse_poly(args.poly, args.field)
+    elif args.command == "hcrit":
+        out = {"poly": print_poly(f), "h_crit": critical_height_global(f, tol).to_json()}
+    elif args.command == "canonical-height":
         z = parse_ground(args.point, args.field)
         h = canonical_height(f, z, tol, nonarch_maxiter=rc.nonarch_maxiter,
                              arch_maxiter=rc.arch_maxiter)
-        _emit(args, _jdump({"poly": print_poly(f), "point": str(z),
-                            "canonical_height": h.to_json()}))
-        return 0
-
-    if args.command == "preperiodic":
-        f = parse_poly(args.poly, args.field)
-        pts = preperiodic_points(f)
-        payload = {
+        out = {"poly": print_poly(f), "point": str(z), "canonical_height": h.to_json()}
+    elif args.command == "preperiodic":
+        out = {
             "poly": print_poly(f),
             "preperiodic": [{"value": str(pp.value), "preperiod": pp.preperiod,
-                             "period": pp.period} for pp in pts],
+                             "period": pp.period} for pp in preperiodic_points(f)],
         }
-        _emit(args, _jdump(payload))
-        return 0
-
-    if args.command == "disk-chain":
-        f = parse_poly(args.poly, args.field)
+    elif args.command == "disk-chain":
+        from .berkovich import inner_disk_chain
         chain = inner_disk_chain(f, args.place, rc.depth)
         lines = ["level,t,k,mass,q,modulus"]
         for i, lv in enumerate(chain.levels, start=1):
             modulus = str(chain.moduli[i - 1]) if i - 1 < len(chain.moduli) else ""
             lines.append(f"{i},{lv.t},{lv.k},{lv.mass},{lv.q},{modulus}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
-
-    if args.command == "wings":
-        f = parse_poly(args.poly, args.field)
+        out = "\n".join(lines) + "\n"
+    elif args.command == "wings":
+        from .berkovich import wing_clusters
         w = wing_clusters(f, args.place)
-        payload = {
+        out = {
             "poly": print_poly(f),
             "place": {"kind": "finite", "p": w.p},
             "cross_distance_logp": str(w.g),
             "clusters": [c.to_json() for c in w.clusters],
         }
-        _emit(args, _jdump(payload))
-        return 0
-
-    if args.command == "equidistribution":
-        f = parse_poly(args.poly, args.field)
+    elif args.command == "equidistribution":
+        from .stats import equidistribution_report
         pts = _parse_points(args.points, args.field)
-        rep = equidistribution_report(f, pts, rc.eps, rc.m0, tol)
-        _emit(args, _jdump(rep.to_json()))
-        return 0
-
-    if args.command == "abc-quality":
+        out = equidistribution_report(f, pts, rc.eps, rc.m0, tol).to_json()
+    elif args.command == "abc-quality":
+        from .stats import AbcTriple, abc_quality
         coords = _parse_points(args.triple, args.field)
-        q = abc_quality(AbcTriple(coords, args.field))
-        _emit(args, _jdump(q.to_json()))
-        return 0
-
-    if args.command == "experiment":
+        out = abc_quality(AbcTriple(coords, args.field)).to_json()
+    elif args.command == "experiment":
+        from .stats import rows_to_csv, theorem_experiment
         values = [Fraction(v) for v in args.values.split(",") if v.strip()]
         rows, skips = theorem_experiment(args.family, args.param, values, rc.m0,
                                          rc.eps, tol)
         for label, reason in skips:
             sys.stderr.write(f"skipped {label}: {reason}\n")
-        _emit(args, rows_to_csv(rows))
-        return 0
-
-    if args.command == "equipotential":
-        from .plotting import equipotential_svg  # numpy loads only here
-
-        f = parse_poly(args.poly, args.field)
+        out = rows_to_csv(rows)
+    else:  # equipotential, the one command left in _NATURAL_FORMAT
+        from .plotting import equipotential_svg
         window = tuple(float(x) for x in args.window.split(","))
         levels = tuple(float(x) for x in args.levels.split(","))
-        svg = equipotential_svg(f, window, levels, rc.grid)
-        _emit(args, svg)
-        return 0
-
-    raise DomainError(f"unknown command {args.command!r}")
+        out = equipotential_svg(f, window, levels, rc.grid)
+    _emit(args, json.dumps(out, indent=2, sort_keys=True) + "\n" if natural == "json" else out)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -8,10 +8,10 @@ for Q-rational preperiodic points with a rigorous finite search box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
-from .exact import (DomainError, UndeterminedError, divisors, is_prime, prime_support,
+from .exact import (DomainError, Frozen, UndeterminedError, divisors, is_prime, prime_support,
                     valuation)
 from .places import FIELD_Q, FIELD_QT, _ground
 from .qpoly import (QPoly, RatFunc, format_tpoly, irreducible_factors, poly_add,
@@ -459,11 +459,14 @@ def in_superattracting_family(f: Poly, m: int) -> bool:
 _MAX_BOX_POINTS = 10 ** 6
 
 
-@dataclass(frozen=True, order=True)
-class PreperiodicPoint:
+@total_ordering
+class PreperiodicPoint(Frozen):
     value: Fraction
     preperiod: int
     period: int
+
+    def __lt__(self, other):
+        return self._astuple() < other._astuple() if type(other) is type(self) else NotImplemented
 
 
 def escape_exponent(f: Poly, p: int) -> Fraction:

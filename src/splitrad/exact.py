@@ -31,6 +31,47 @@ class UndeterminedError(RuntimeError):
     """No certificate (escape or boundedness) fired within the iteration cap."""
 
 
+class Value:
+    """An unhashable record whose annotated names, in order, are the fields of its
+    constructor (a class attribute is a default), ``==`` and ``repr``."""
+
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        cls._fields = dict.fromkeys(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        given = dict(zip(fields, args), **kwargs)
+        if (len(given) < len(args) + len(kwargs) or not given.keys() <= fields.keys()
+                or len(given) < len(fields) and not fields.keys() <= given.keys() | vars(cls)):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        for name in fields:
+            self.__dict__[name] = given[name] if name in given else vars(cls)[name]
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Value):
+    """An immutable ``Value``, hashed by its field tuple."""
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # primality and factorization
 # ---------------------------------------------------------------------------

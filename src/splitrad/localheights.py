@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError, LogValue, UndeterminedError, is_prime, prime_support, valuation
+from .exact import (DomainError, Frozen, LogValue, UndeterminedError, Value, is_prime,
+                    prime_support, valuation)
 from .dynamics import (Poly, _print_coeffs, candidate_bad_primes, center, critical_points,
                        escape_exponent)
 from .intervals import CBox, Interval, horner, horner_centered
@@ -32,8 +32,7 @@ from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_gcd, pol
 # Newton polygons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Frozen):
     """Lower convex hull of (i, v_p(a_i)); slope s carries roots of size p^s."""
 
     vertices: tuple[tuple[int, Fraction], ...]
@@ -672,8 +671,7 @@ def canonical_height(f: Poly, z, tol: float = 1e-9, nonarch_maxiter: int = 30,
 # per-place profiles
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LocalProfile:
+class LocalProfile(Value):
     place: Place
     is_bad: bool | None          # None: no verdict claimed
     g_v: LogValue | None         # present iff is_bad is True

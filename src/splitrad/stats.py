@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, INFINITY, LogValue, UndeterminedError, prime_support, valuation
+from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, Value, prime_support,
+                    valuation)
 from .berkovich import (annulus_mass, annulus_membership_in_chain,
                         AnnulusPosition, inner_disk_chain, wing_clusters)
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
@@ -27,8 +27,7 @@ from .places import FIELD_Q, Place, ProjectivePoint, naive_height, radical
 # equidistribution reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PlaceReport:
+class PlaceReport(Value):
     place: Place
     annulus_count: int
     annulus_mass: Fraction
@@ -47,8 +46,7 @@ class PlaceReport:
         }
 
 
-@dataclass
-class EquidistributionReport:
+class EquidistributionReport(Value):
     n_points: int
     eps: Fraction
     m0: int
@@ -176,15 +174,13 @@ def _ratio_json(r: Fraction | Interval | None):
 # epsilon-good differences
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EpsilonGoodWitness:
+class EpsilonGoodWitness(Value):
     alpha: Fraction
     size_sum: LogValue          # sum over S1 and the good places of log|1/alpha|_v
     is_good: bool | None        # None: comparison undetermined
 
 
-@dataclass
-class EpsilonGoodResult:
+class EpsilonGoodResult(Value):
     fraction: Fraction
     witnesses: tuple[EpsilonGoodWitness, ...]
     degenerate: bool            # h_crit = 0: every threshold comparison is against 0
@@ -238,8 +234,7 @@ def epsilon_good_fraction(f: Poly, T, eps, tol: float = 1e-9) -> EpsilonGoodResu
 # pair moments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PairMomentResult:
+class PairMomentResult(Value):
     average: LogValue
     n_pairs: int
     threshold: LogValue | None
@@ -310,8 +305,7 @@ class AbcTriple:
         return self.point.coords
 
 
-@dataclass
-class AbcQuality:
+class AbcQuality(Value):
     h: LogValue
     rad: LogValue
     quality: LogValue

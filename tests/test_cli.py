@@ -165,6 +165,16 @@ def test_exit_code_undetermined(capsys, tmp_path):
     assert "undetermined" in err
 
 
+def test_unknown_config_key_is_domain_error(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("nonarch_max_iter = 0\ntol = 1e-6\ngird = 5\n")
+    code, out, err = run(capsys, "--config", str(cfg), "canonical-height",
+                         "--poly", "z^3 + (1/5)*z^2", "--point", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("domain error: unknown --config key(s) gird, nonarch_max_iter; ")
+    assert "accepted: tol, nonarch_maxiter, arch_maxiter, depth, m0, eps, grid" in err
+
+
 def test_format_mismatch_is_domain_error(capsys):
     code, _, err = run(capsys, "analyze", "--poly", "z^2", "--format", "svg")
     assert code == 2 and "emits json" in err

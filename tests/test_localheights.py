@@ -493,7 +493,7 @@ def test_escape_exponent_values():
 
 @pytest.mark.parametrize("p", [-5, 0, 1, 4, 25])
 def test_entry_points_that_take_p_prove_it_prime(p):
-    # inside, valuations at p skip the check, so each entry point must make it
+    # each entry point proves p prime itself (is_prime is memoized), so none takes a composite
     calls = [lambda: valuation(F(1, 2), p), lambda: escape_exponent(F5, p),
              lambda: newton_polygon(F5, p), lambda: splitting_exponent(F5, p),
              lambda: escape_rate_nonarch(F5, p, 1), lambda: inner_disk_chain(F5, p, 2),

@@ -1,4 +1,5 @@
-"""Start-up contract: numpy loads only to plot, sympy only for a factor of degree >= 4."""
+"""Start-up contract: numpy loads only to plot, sympy only for a factor of degree >= 4,
+berkovich and stats only for the subcommands that use them, and dataclasses never."""
 
 import json
 import os
@@ -80,3 +81,68 @@ else:
 print('numpy' in sys.modules)
 """)
     assert out.split() == ["True"]
+
+
+# the splitrad modules a fresh process loads for each subcommand in ARGVS
+BASE = {"cli", "dynamics", "exact", "intervals", "localheights", "places", "qpoly"}
+LOADS = {"analyze": BASE, "hcrit": BASE, "canonical-height": BASE, "preperiodic": BASE,
+         "disk-chain": BASE | {"berkovich"}, "wings": BASE | {"berkovich"},
+         **dict.fromkeys(["equidistribution", "abc-quality", "experiment"],
+                         BASE | {"berkovich", "stats"})}
+
+LOADED_RUN = """
+import contextlib, io, json, sys
+from splitrad.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m[len("splitrad."):] for m in sys.modules
+                               if m.startswith("splitrad.")),
+                  "dataclasses" in sys.modules, "inspect" in sys.modules]))
+"""
+
+
+def test_each_subcommand_loads_only_the_layers_it_uses():
+    for argv in ARGVS:
+        code, modules, dataclasses, inspect = json.loads(python(LOADED_RUN, json.dumps(argv)))
+        assert code == 0, argv
+        assert set(modules) == LOADS[argv[0]], argv
+        assert not dataclasses and not inspect, argv
+
+
+# the public names of the package at the time every layer but plotting was
+# imported eagerly; import * still gives exactly these
+EAGER_NAMES = """AbcQuality AbcTriple AnnulusPosition CBox ChainLevel DiskChain DomainError
+EquidistributionReport FIELD_Q FIELD_QT INFINITY Interval LocalProfile LogValue NewtonPolygon
+PairMomentResult ParseError Place Poly PreperiodicPoint ProjectivePoint QPoly RatFunc Rational
+UndeterminedError WingCluster WingClusters abc_quality analyze annulus_mass annulus_membership
+berkovich candidate_bad_primes canonical_height center conjugate critical_height_global
+critical_height_local critical_points divisors dynamics epsilon_good_fraction epsilon_good_sum
+equidistribution_report escape_exponent escape_rate_arch escape_rate_nonarch exact factorize
+hsia_energy in_superattracting_family inner_disk_chain intervals irreducible_factors is_prime
+iterate local_abs_log localheights naive_height newton_polygon pair_moment parse_ground parse_poly
+places places_below preperiodic_points print_poly product_formula_check qpoly radical
+splitting_exponent splitting_radius stats superattracting_cycles support theorem_experiment
+valuation wing_clusters""".split()
+
+
+def test_berkovich_and_stats_load_on_first_use():
+    out = python("""
+import json, sys, splitrad
+lazy_before = {"splitrad.berkovich", "splitrad.stats"} & set(sys.modules)
+names = [n for n in dir(splitrad) if not n.startswith("_")]
+from splitrad import wing_clusters, theorem_experiment
+import splitrad.berkovich, splitrad.stats
+assert splitrad.berkovich.wing_clusters is wing_clusters is splitrad.wing_clusters
+assert splitrad.stats.theorem_experiment is theorem_experiment
+assert splitrad.stats is sys.modules["splitrad.stats"]
+star = {}
+exec("from splitrad import *", star)
+print(json.dumps([sorted(lazy_before), names, sorted(set(star) - {"__builtins__"}),
+                  "numpy" in sys.modules]))
+""")
+    lazy_before, names, star, numpy = json.loads(out)
+    assert lazy_before == []
+    assert names == sorted(EAGER_NAMES + ["contour_polylines", "equipotential_svg",
+                                          "escape_rate_grid", "plotting"])
+    assert star == sorted(EAGER_NAMES)
+    assert not numpy
