@@ -28,8 +28,8 @@ from .exact import DomainError, Frozen, LogValue, UndeterminedError, Value, is_p
 from .dynamics import Poly
 from .localheights import newton_polygon, splitting_exponent
 from .places import FIELD_Q, Place
-from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_gcd, poly_monic,
-                    poly_powmod, poly_trim)
+from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_from_power_sums,
+                    poly_gcd, poly_monic, poly_power_sums, poly_powmod, poly_trim)
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +387,9 @@ def _difference_poly(fq: QPoly) -> QPoly:
     L = math.lcm(*(c.denominator for c in a))
     b = [c.numerator * L ** (m - i) // c.denominator for i, c in enumerate(a)]
     n = m * m
-    s = [m]  # power sums of the L*a_i (Newton's identities)
-    for k in range(1, n + 1):
-        acc = k * b[m - k] if k <= m else 0
-        for i in range(1, min(k - 1, m) + 1):
-            acc += b[m - i] * s[k - i]
-        s.append(-acc)
-    ps = [sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1))
-          for k in range(n + 1)]
-    c = [0] * n + [1]
-    for k in range(1, n + 1):
-        acc = ps[k]
-        for i in range(1, k):
-            acc += c[n - i] * ps[k - i]
-        c[n - k] = -acc // k
+    s = poly_power_sums(b, n)  # of the L*a_i
+    c = poly_from_power_sums([sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l]
+                                  for l in range(k + 1)) for k in range(n + 1)])
     return QPoly([Fraction(c[n - k], L ** k) for k in range(n, -1, -1)])
 
 

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .intervals import Interval
+from .intervals import Interval, Slotted
 
 INFINITY = math.inf
 
@@ -325,7 +325,7 @@ def valuation(x, p: int):
 # LogValue
 # ---------------------------------------------------------------------------
 
-class LogValue:
+class LogValue(Slotted):
     """const + sum_p q_p*log(p) + err, with exact const/q_p and certified err.
 
     Immutable by convention.  The formal part (const and the log

@@ -30,10 +30,9 @@ rounded outward with ``math.nextafter``, and an unordered sum raises
 ValueError.  Interval +, - and * are thin wrappers over them, ``_cadd`` and
 ``_cmul`` build the complex rectangle rules from them, and horner,
 taylor_enclosures and horner_centered loop over float pairs, building an
-Interval or CBox only for the result.  The real Horner loop inlines the rules
-on its accumulator's endpoints; every endpoint, shortcut and error is the
-same as through the operators one product and one sum at a time.  These are
-the centred forms of Rump (Acta Numerica 19, 2010).
+Interval or CBox only for the result.  The rounding rules live only in
+``_add``, ``_sub`` and ``_mul``.  These are the centred forms of Rump (Acta
+Numerica 19, 2010).
 
 Exact-to-float work is done once: the archimedean escape rate encloses the
 map's coefficients once per call (``enclose`` returns an enclosure as is),
@@ -125,6 +124,16 @@ def _cmul(z: tuple, w: tuple) -> tuple:
     return _sub(_mul(a, c), _mul(b, d)), _add(_mul(a, d), _mul(b, c))
 
 
+class Slotted:
+    """Base of the __slots__ value classes: pickles at every protocol, as the state
+    (None, {slot: value}) in slot order that protocols 2-5 build by default."""
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in self.__slots__}
+
+
 def _interval(x: tuple) -> "Interval":
     """The Interval of an ordered float pair, without __init__'s conversions."""
     out = object.__new__(Interval)
@@ -136,7 +145,7 @@ def _cbox(z: tuple) -> "CBox":
     return CBox(_interval(z[0]), _interval(z[1]))
 
 
-class Interval:
+class Interval(Slotted):
     """Closed interval [lo, hi] of floats, guaranteed to contain the true value."""
 
     __slots__ = ("lo", "hi")
@@ -325,7 +334,7 @@ class Interval:
         return Interval(_down(self.lo - eps), _up(self.hi + eps))
 
 
-class CBox:
+class CBox(Slotted):
     """Complex rectangle re x im of certified intervals."""
 
     __slots__ = ("re", "im")
@@ -393,6 +402,11 @@ class CBox:
         return f"CBox({self.re!r}, {self.im!r})"
 
 
+def _rules(x) -> tuple:
+    """(add, mul, wrap) on the float forms of x's enclosure type; wrap builds the result."""
+    return (_add, _mul, _interval) if isinstance(x, Interval) else (_cadd, _cmul, _cbox)
+
+
 def horner(coeffs, x):
     """Evaluate sum(coeffs[i] * x^i) in the enclosure type of x (Interval or CBox).
 
@@ -401,50 +415,21 @@ def horner(coeffs, x):
     No coefficients give 0.
     """
     enclose = x.enclose
+    add, mul, wrap = _rules(x)
+    z = x.pair
     rest = reversed(coeffs)
     c = next(rest, 0)
     acc = c if type(c) is tuple else enclose(c).pair
-    if not isinstance(x, Interval):
-        z = x.pair
-        for c in rest:
-            acc = _cadd(_cmul(acc, z), c if type(c) is tuple else enclose(c).pair)
-        return _cbox(acc)
-    # the real loop inlines _mul and _add with the same tests in the same order; calling
-    # them took 10-25% longer on the Taylor row of a cubic
-    lo, hi = acc
-    a, b = x.lo, x.hi
-    x_zero, x_one = a == 0.0 == b, a == 1.0 == b
     for c in rest:
-        if x_zero or lo == 0.0 == hi:
-            lo = hi = 0.0
-        elif x_one:
-            pass
-        elif lo == 1.0 == hi:
-            lo, hi = a, b
-        else:
-            p, q, r, s = lo * a, lo * b, hi * a, hi * b
-            if p != p or q != q or r != r or s != s:
-                p, q, r, s = (0.0 if t != t else t for t in (p, q, r, s))
-            lo = _nextafter(min(p, q, r, s), -_INF)
-            hi = _nextafter(max(p, q, r, s), _INF)
-        cl, ch = c if type(c) is tuple else enclose(c).pair
-        if cl == 0.0 == ch:
-            continue
-        if lo == 0.0 == hi:
-            lo, hi = cl, ch
-            continue
-        lo = _nextafter(lo + cl, -_INF)
-        hi = _nextafter(hi + ch, _INF)
-        if not lo <= hi:
-            raise ValueError(f"invalid interval [{lo}, {hi}]")
-    return _interval((lo, hi))
+        acc = add(mul(acc, z), c if type(c) is tuple else enclose(c).pair)
+    return wrap(acc)
 
 
 def taylor_enclosures(coeffs, m):
     """Float forms of the Taylor coefficients of the polynomial at the point enclosure m."""
     enclose = m.enclose
     cs = [enclose(c).pair for c in coeffs]
-    add, mul = (_add, _mul) if isinstance(m, Interval) else (_cadd, _cmul)
+    add, mul, _ = _rules(m)
     mp = m.pair
     n = len(cs)
     for i in range(n - 1):

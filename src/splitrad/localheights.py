@@ -77,18 +77,6 @@ def _hull_from_points(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fra
     return hull
 
 
-def newton_polygon_from_valuations(vals: list[tuple[int, Fraction]], degree: int) -> NewtonPolygon:
-    """vals: (index, valuation) for the nonzero coefficients, ascending index."""
-    if not vals:
-        raise DomainError("Newton polygon of the zero polynomial")
-    ord_zero = vals[0][0]
-    hull = _hull_from_points(vals)
-    segs = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        segs.append(((Fraction(y2) - Fraction(y1)) / (x2 - x1), x2 - x1))
-    return NewtonPolygon(tuple(hull), tuple(segs), ord_zero, degree)
-
-
 def newton_polygon(f, p: int) -> NewtonPolygon:
     """Newton polygon at p of a Poly over Q or a QPoly."""
     if not is_prime(p):
@@ -97,7 +85,10 @@ def newton_polygon(f, p: int) -> NewtonPolygon:
     vals = [(i, Fraction(valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
     if not vals:
         raise DomainError("Newton polygon of the zero polynomial")
-    return newton_polygon_from_valuations(vals, len(coeffs) - 1)
+    hull = _hull_from_points(vals)
+    segs = tuple(((Fraction(y2) - Fraction(y1)) / (x2 - x1), x2 - x1)
+                 for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple(hull), segs, vals[0][0], len(coeffs) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +355,10 @@ def escape_rate_arch_box(f: Poly, box: CBox, tol: float = 1e-9,
 # certified complex root enclosures (for critical points of f)
 # ---------------------------------------------------------------------------
 
-def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
+_ROOT_REFINE = 400  # Durand-Kerner sweeps in complex_root_boxes
+
+
+def complex_root_boxes(g: QPoly) -> list[CBox]:
     """Disjoint certified boxes, one around each root of a squarefree g.
 
     Durand-Kerner approximations; each is certified by the classical bound
@@ -381,7 +375,7 @@ def complex_root_boxes(g: QPoly, refine: int = 400) -> list[CBox]:
                                 "a coefficient lies beyond the float range") from None
     radius = 1.0 + max(abs(c) for c in cs[:-1]) if n >= 1 else 1.0
     ws = [radius * (0.4 + 0.9j) ** (k + 1) for k in range(n)]
-    for _ in range(refine):
+    for _ in range(_ROOT_REFINE):
         moved = 0.0
         for k in range(n):
             num = poly_horner(cs, ws[k])
@@ -570,7 +564,10 @@ def _pushforward(h: QPoly, f: Poly) -> QPoly:
     return QPoly.from_power_sums(ps)
 
 
-def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
+_PUSHFORWARD_DEPTH = 8  # pushforwards of the irrational critical points at a finite place
+
+
+def _lambda_crit_finite_general(f: Poly, p: int) -> Fraction:
     """max_a lambda_p(a) over critical points a, in log_p units (exact)."""
     d = f.degree
     s_esc = escape_exponent(f, p)
@@ -591,7 +588,7 @@ def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
                 for i in range(d + 1) if f[i] != 0)
     lam_bar = max(Fraction(0), b_exp + c_p)
     h = residual.monic()
-    for n in range(depth + 1):
+    for n in range(_PUSHFORWARD_DEPTH + 1):
         np_h = newton_polygon(h, p)
         m_slope = np_h.max_slope()
         if inv is not None and (m_slope is None or m_slope <= inv[1]):
@@ -600,7 +597,7 @@ def _lambda_crit_finite_general(f: Poly, p: int, depth: int = 8) -> Fraction:
             return max(best, (m_slope + c_p) / d ** n)
         h = _pushforward(h, f)
     raise UndeterminedError(
-        f"critical height at p={p} undetermined within pushforward depth {depth}")
+        f"critical height at p={p} undetermined within pushforward depth {_PUSHFORWARD_DEPTH}")
 
 
 def critical_height_local(f: Poly, v: Place, tol: float = 1e-9) -> LogValue:

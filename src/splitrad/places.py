@@ -14,13 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import DomainError, LogValue, is_prime, prime_support, valuation
+from .intervals import Slotted
 from .qpoly import QPoly, RatFunc, format_tpoly, irreducible_factors
 
 FIELD_Q = "Q"
 FIELD_QT = "Qt"
 
 
-class Place:
+class Place(Slotted):
     """A normalized place of Q or Q(t)."""
 
     __slots__ = ("kind", "p", "pi")
@@ -176,7 +177,7 @@ def _ground(field: str):
 # projective points
 # ---------------------------------------------------------------------------
 
-class ProjectivePoint:
+class ProjectivePoint(Slotted):
     """Tuple of n >= 2 ground-field coordinates, not all zero; equality up to scaling."""
 
     __slots__ = ("coords", "field")

@@ -3,19 +3,21 @@
 Every polynomial layer of splitrad runs on one kernel of module-level
 routines over coefficient lists, lowest degree first: poly_trim, poly_add,
 poly_mul, poly_divmod, poly_monic, poly_gcd (monic), poly_derivative,
-poly_powmod (modulo a polynomial), poly_horner and poly_shift (Taylor
-shift).  An optional prime modulus p makes them work over F_p on integer
+poly_powmod (modulo a polynomial), poly_horner, poly_shift (Taylor shift),
+and poly_power_sums and poly_from_power_sums (Newton's identities, which
+build polynomials from the images or differences of roots).  An optional
+prime modulus p makes the routines that take it work over F_p on integer
 lists; without it they work over Q on Fractions, and add, mul, Horner and
 shift work over any ring whose elements mix with their argument (int,
-Fraction, RatFunc, complex).  QPoly wraps the kernel over Q and adds
-rational roots and power sums of roots (Newton's identities), which build
-polynomials from the images or differences of roots.  RatFunc wraps a
-reduced num/den pair and provides the valuations that make Q(t) a
-product-formula field (finite places = monic irreducibles, plus the degree
-valuation at t = infinity).  Rational roots come from integer brackets of
-the real roots (bisection on monotone pieces), so no divisor of a
-coefficient is ever enumerated; irreducible_factors splits off the linear
-factors itself and imports sympy only for a rest of degree >= 4.
+Fraction, RatFunc, complex).  The Newton pair works over Z or over Q, in
+the ring of its input.  QPoly wraps the kernel over Q and adds rational
+roots.  RatFunc wraps a reduced num/den pair and provides the valuations
+that make Q(t) a product-formula field (finite places = monic
+irreducibles, plus the degree valuation at t = infinity).  Rational roots
+come from integer brackets of the real roots (bisection on monotone
+pieces), so no divisor of a coefficient is ever enumerated;
+irreducible_factors splits off the linear factors itself and imports sympy
+only for a rest of degree >= 4.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import INFINITY
+from .intervals import Slotted
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +127,37 @@ def poly_shift(a, x) -> list:
     return cs
 
 
-class QPoly:
+def poly_power_sums(a, n: int) -> list:
+    """[p_0, ..., p_n]: p_k is the sum of the k-th powers of the roots of the monic a
+    (Newton's identities), in the ring of a's coefficients; p_0 = deg a is an int."""
+    m = len(a) - 1
+    ps = [m]
+    for k in range(1, n + 1):
+        acc = k * a[m - k] if k <= m else 0
+        for i in range(1, min(k - 1, m) + 1):
+            acc += a[m - i] * ps[k - i]
+        ps.append(-acc)
+    return ps
+
+
+def poly_from_power_sums(ps) -> list:
+    """The monic polynomial of degree len(ps) - 1 whose roots have the power sums ps.
+
+    Newton's identities divide by k: with / over Q, and with // over Z, which
+    is exact when the roots are algebraic integers (their elementary symmetric
+    functions are then rational algebraic integers, hence integers).
+    """
+    n = len(ps) - 1
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = ps[k]
+        for i in range(1, k):
+            acc += c[n - i] * ps[k - i]
+        c[n - k] = -acc // k if type(acc) is int else -acc / k
+    return c
+
+
+class QPoly(Slotted):
     """Polynomial with Fraction coefficients, lowest degree first."""
 
     __slots__ = ("coeffs",)
@@ -225,27 +258,12 @@ class QPoly:
 
     def power_sums(self, n: int) -> list[Fraction]:
         """[p_0, ..., p_n]: p_k is the sum of the k-th powers of the roots (Newton's identities)."""
-        m = self.degree()
-        a = self.monic().coeffs
-        ps = [Fraction(m)]
-        for k in range(1, n + 1):
-            acc = k * a[m - k] if k <= m else Fraction(0)
-            for i in range(1, min(k - 1, m) + 1):
-                acc += a[m - i] * ps[k - i]
-            ps.append(-acc)
-        return ps
+        return [Fraction(c) for c in poly_power_sums(self.monic().coeffs, n)]
 
     @classmethod
     def from_power_sums(cls, ps: list[Fraction]) -> "QPoly":
         """Monic polynomial of degree len(ps) - 1 whose roots have the power sums ps."""
-        n = len(ps) - 1
-        a = [Fraction(0)] * n + [Fraction(1)]
-        for k in range(1, n + 1):
-            acc = ps[k]
-            for i in range(1, k):
-                acc += a[n - i] * ps[k - i]
-            a[n - k] = -acc / k  # Q has characteristic 0
-        return cls(a)
+        return cls(poly_from_power_sums([Fraction(c) for c in ps]))
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicities, ascending.
@@ -365,7 +383,10 @@ def irreducible_factors(p: QPoly) -> list[tuple[QPoly, int]]:
 # printing / Q(t)
 # ---------------------------------------------------------------------------
 
-def format_tpoly(p: QPoly, var: str = "t") -> str:
+_TVAR = "t"  # the variable of Q(t) in printed polynomials
+
+
+def format_tpoly(p: QPoly) -> str:
     """Compact canonical form like t^2-1/2*t+3, highest degree first."""
     if p.is_zero():
         return "0"
@@ -379,7 +400,7 @@ def format_tpoly(p: QPoly, var: str = "t") -> str:
         if i == 0:
             body = str(mag)
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = _TVAR if i == 1 else f"{_TVAR}^{i}"
             body = v if mag == 1 else f"{mag}*{v}"
         if not parts:
             parts.append(body if sign == "+" else "-" + body)
@@ -388,7 +409,7 @@ def format_tpoly(p: QPoly, var: str = "t") -> str:
     return "".join(parts)
 
 
-class RatFunc:
+class RatFunc(Slotted):
     """Element of Q(t): reduced num/den with monic denominator."""
 
     __slots__ = ("num", "den")

@@ -14,11 +14,9 @@ from fractions import Fraction
 
 from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, Value, prime_support,
                     valuation)
-from .berkovich import (annulus_mass, annulus_membership_in_chain,
-                        AnnulusPosition, inner_disk_chain, wing_clusters)
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
                        preperiodic_points, superattracting_cycles)
-from .intervals import Interval
+from .intervals import Interval, Slotted
 from .localheights import critical_height_global, critical_height_local, splitting_exponent
 from .places import FIELD_Q, Place, ProjectivePoint, naive_height, radical
 
@@ -67,9 +65,12 @@ class EquidistributionReport(Value):
         }
 
 
-def _superattracting_normalization(f: Poly, m_max: int = 6) -> tuple[Poly, Fraction, int]:
+_MAX_CYCLE_PERIOD = 6  # the longest superattracting cycle an equidistribution report looks for
+
+
+def _superattracting_normalization(f: Poly) -> tuple[Poly, Fraction, int]:
     """(F, p0, m): F = translate of f^m with the superattracting point at 0."""
-    cycles = superattracting_cycles(f, m_max)
+    cycles = superattracting_cycles(f, _MAX_CYCLE_PERIOD)
     if not cycles:
         raise DomainError("map has no rational superattracting cycle within the period cap")
     cycle, m = min(cycles, key=lambda cm: cm[1])
@@ -90,6 +91,9 @@ def equidistribution_report(f: Poly, T, eps, m0: int,
     chain levels m0 and m0+1 is within the factor (1 +- eps) of its
     equilibrium mass, and every wing cluster holds more than (1-eps)/d of T.
     """
+    from .berkovich import (AnnulusPosition, annulus_mass, annulus_membership_in_chain,
+                            inner_disk_chain, wing_clusters)
+
     if f.field != FIELD_Q:
         raise DomainError("equidistribution reports run over Q")
     eps = Fraction(eps)
@@ -284,7 +288,7 @@ def pair_moment(f: Poly, T, eps=None, tol: float = 1e-9) -> PairMomentResult:
 # abc quality
 # ---------------------------------------------------------------------------
 
-class AbcTriple:
+class AbcTriple(Slotted):
     """Three nonzero ground-field elements summing to zero, up to scaling."""
 
     __slots__ = ("point",)

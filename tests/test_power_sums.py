@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from splitrad.berkovich import _difference_poly
 from splitrad.dynamics import Poly
 from splitrad.localheights import _pushforward
-from splitrad.qpoly import QPoly
+from splitrad.qpoly import QPoly, poly_from_power_sums, poly_power_sums
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 nonzero = rationals.filter(lambda c: c != 0)
@@ -37,6 +37,16 @@ def test_power_sums_of_rational_roots(rs, lc, n):
 def test_from_power_sums_round_trip(low, lc):
     h = QPoly(low + [lc])
     assert QPoly.from_power_sums(h.power_sums(h.degree())) == h.monic()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=0, max_size=8))
+def test_integer_round_trip_stays_in_z(low):
+    b = low + [1]  # monic: every division by k in Newton's identities is exact
+    ps = poly_power_sums(b, len(low))
+    assert all(type(c) is int for c in ps)
+    back = poly_from_power_sums(ps)
+    assert back == b and all(type(c) is int for c in back)
 
 
 @settings(max_examples=60, deadline=None)

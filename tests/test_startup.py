@@ -87,8 +87,8 @@ print('numpy' in sys.modules)
 BASE = {"cli", "dynamics", "exact", "intervals", "localheights", "places", "qpoly"}
 LOADS = {"analyze": BASE, "hcrit": BASE, "canonical-height": BASE, "preperiodic": BASE,
          "disk-chain": BASE | {"berkovich"}, "wings": BASE | {"berkovich"},
-         **dict.fromkeys(["equidistribution", "abc-quality", "experiment"],
-                         BASE | {"berkovich", "stats"})}
+         "abc-quality": BASE | {"stats"},
+         **dict.fromkeys(["equidistribution", "experiment"], BASE | {"berkovich", "stats"})}
 
 LOADED_RUN = """
 import contextlib, io, json, sys

@@ -1,15 +1,17 @@
 """Contract of the plain value classes: constructor, ==, repr, hash, immutability, pickling."""
 
 import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from splitrad import CBox, Interval, LogValue, Place, ProjectivePoint, QPoly, RatFunc
 from splitrad.berkovich import ChainLevel, DiskChain, WingCluster, WingClusters
 from splitrad.cli import RunConfig
 from splitrad.dynamics import PreperiodicPoint
 from splitrad.localheights import LocalProfile, NewtonPolygon
-from splitrad.stats import (AbcQuality, EpsilonGoodResult, EpsilonGoodWitness,
+from splitrad.stats import (AbcQuality, AbcTriple, EpsilonGoodResult, EpsilonGoodWitness,
                             EquidistributionReport, PairMomentResult, PlaceReport)
 
 LEVEL = ChainLevel(F(1, 2), 3, F(1, 3), 2)
@@ -18,7 +20,7 @@ REPORT = PlaceReport("5", 3, F(1, 3), (("3", 1),), True, F(1))
 WITNESS = EpsilonGoodWitness(F(1, 7), F(2), None)
 
 # One instance of each class and its exact repr.  Plain field values stand in
-# for LogValue and Place, which pickle only from protocol 2 on.
+# for LogValue and Place, whose pickling SLOTTED below covers.
 CASES = [
     (LEVEL, "ChainLevel(t=Fraction(1, 2), k=3, mass=Fraction(1, 3), q=2)"),
     (DiskChain(5, 3, F(1, 2), (LEVEL,), ()),
@@ -85,6 +87,35 @@ def test_pickle_round_trip(obj, text, protocol):
     back = pickle.loads(pickle.dumps(obj, protocol=protocol))
     assert type(back) is type(obj) and back == obj
     assert list(vars(back).items()) == list(vars(obj).items())
+
+
+# one instance of each exported __slots__ class (three kinds of Place)
+SLOTTED = [LogValue(F(1, 3), {2: F(1, 2), 5: -1}, Interval(-1e-9, 2e-9)), Place.arch(),
+           Place.finite(7), Place.finite_poly(QPoly([1, 0, 1])), QPoly([F(1, 2), 0, -3, 1]),
+           RatFunc(QPoly([1, 1]), QPoly([-2, 1])), Interval(0.1, 0.3),
+           CBox(Interval(-1, 1), Interval(0.5, 2.5)), ProjectivePoint([1, F(2, 3), -5]),
+           AbcTriple([1, 8, -9])]
+SLOTTED_IDS = [f"{type(obj).__name__}{i}" for i, obj in enumerate(SLOTTED)]
+
+
+def slot_items(obj):
+    return [(name, getattr(obj, name)) for name in type(obj).__slots__]
+
+
+@pytest.mark.parametrize("obj", SLOTTED, ids=SLOTTED_IDS)
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_slotted_pickle_round_trip(obj, protocol):
+    back = pickle.loads(pickle.dumps(obj, protocol=protocol))
+    assert type(back) is type(obj) and slot_items(back) == slot_items(obj)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="object.__getstate__ is new in 3.11")
+@pytest.mark.parametrize("obj", SLOTTED, ids=SLOTTED_IDS)
+def test_slotted_state_is_the_default_state(obj):
+    # the state protocols 2-5 build without a __getstate__, in the same slot
+    # order, so those protocols pickle to the same bytes as before
+    state, default = obj.__getstate__(), object.__getstate__(obj)
+    assert state == default and list(state[1]) == list(default[1])
 
 
 def test_preperiodic_points_order_by_value_then_preperiod_then_period():
