@@ -13,6 +13,7 @@ from functools import total_ordering
 
 from .exact import (DomainError, Frozen, UndeterminedError, divisors, is_prime, prime_support,
                     valuation)
+from .intervals import Slotted
 from .places import FIELD_Q, FIELD_QT, _ground
 from .qpoly import (QPoly, RatFunc, format_tpoly, irreducible_factors, poly_add,
                     poly_derivative, poly_horner, poly_mul, poly_shift, poly_trim)
@@ -34,7 +35,7 @@ class ParseError(DomainError):
 _ONE = {FIELD_Q: 1, FIELD_QT: RatFunc.const(1)}
 
 
-class Poly:
+class Poly(Slotted):
     """Dense polynomial a_0..a_d over the ground field, a_d != 0, d >= 2.
 
     A Poly is never changed after construction, so what is derived from it
@@ -90,9 +91,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({print_poly(self)!r})"
-
-    def __getstate__(self):
-        return None, {"coeffs": self.coeffs, "field": self.field}
 
     def _once(self, key: str, compute):
         """compute(), kept under key for the life of this Poly; a raise keeps nothing."""

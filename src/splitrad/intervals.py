@@ -126,12 +126,13 @@ def _cmul(z: tuple, w: tuple) -> tuple:
 
 class Slotted:
     """Base of the __slots__ value classes: pickles at every protocol, as the state
-    (None, {slot: value}) in slot order that protocols 2-5 build by default."""
+    (None, {slot: value}) in slot order that protocols 2-5 build by default.
+    Private slots (a leading "_", such as a memo) are left out."""
 
     __slots__ = ()
 
     def __getstate__(self):
-        return None, {name: getattr(self, name) for name in self.__slots__}
+        return None, {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
 
 
 def _interval(x: tuple) -> "Interval":

@@ -143,9 +143,9 @@ def poly_power_sums(a, n: int) -> list:
 def poly_from_power_sums(ps) -> list:
     """The monic polynomial of degree len(ps) - 1 whose roots have the power sums ps.
 
-    Newton's identities divide by k: with / over Q, and with // over Z, which
-    is exact when the roots are algebraic integers (their elementary symmetric
-    functions are then rational algebraic integers, hence integers).
+    Newton's identities divide by k: with / over Q, and with // over Z, exact when
+    the roots are algebraic integers (their elementary symmetric functions are then
+    rational algebraic integers, hence integers); a remainder raises ValueError.
     """
     n = len(ps) - 1
     c = [0] * n + [1]
@@ -153,6 +153,8 @@ def poly_from_power_sums(ps) -> list:
         acc = ps[k]
         for i in range(1, k):
             acc += c[n - i] * ps[k - i]
+        if type(acc) is int and acc % k:
+            raise ValueError("power sums over Z of roots that are not algebraic integers")
         c[n - k] = -acc // k if type(acc) is int else -acc / k
     return c
 

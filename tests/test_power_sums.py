@@ -4,6 +4,7 @@ the earlier Fraction form of the difference polynomial."""
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitrad.berkovich import _difference_poly
@@ -47,6 +48,13 @@ def test_integer_round_trip_stays_in_z(low):
     assert all(type(c) is int for c in ps)
     back = poly_from_power_sums(ps)
     assert back == b and all(type(c) is int for c in back)
+
+
+def test_integer_power_sums_of_non_integral_roots_raise():
+    # x^2 - x + 1/2 has power sums [2, 1, 0]: over Z the division by 2 is not exact
+    assert QPoly.from_power_sums([2, 1, 0]) == QPoly([F(1, 2), -1, 1])
+    with pytest.raises(ValueError, match="not algebraic integers"):
+        poly_from_power_sums([2, 1, 0])
 
 
 @settings(max_examples=60, deadline=None)
