@@ -68,13 +68,6 @@ class Poly(Slotted):
             return self.coeffs[i]
         return _ground(self.field)(0)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     def __call__(self, z):
         return poly_horner(self.coeffs, z)
 
@@ -154,6 +147,10 @@ _MAX_EXPONENT = 10_000
 _MAX_POWER_TERMS = 257
 _MAX_POWER_BITS = 100_000
 
+# Cap on parentheses nested in one another: each level costs the
+# recursive-descent parser five stack frames, and Python stops at 1000.
+_MAX_NESTING = 100
+
 
 def _t_degree(c) -> int:
     return max(c.num.degree(), c.den.degree()) if isinstance(c, RatFunc) else 0
@@ -197,6 +194,7 @@ class _Parser:
     def __init__(self, text: str, field: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open at the current token
         self.field = field
         self.ground = _ground(field)
 
@@ -277,8 +275,12 @@ class _Parser:
                 raise ParseError("'t' is only allowed over Q(t)", t[2])
             return [RatFunc.t()]
         if t[0] == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the cap of {_MAX_NESTING}", t[2])
             v = self.expr()
             self.expect(")")
+            self.depth -= 1
             return v
         raise ParseError(f"unexpected {t[1]!r}", t[2])
 

@@ -31,9 +31,11 @@ class UndeterminedError(RuntimeError):
     """No certificate (escape or boundedness) fired within the iteration cap."""
 
 
-class Value:
-    """An unhashable record whose annotated names, in order, are the fields of its
-    constructor (a class attribute is a default), ``==`` and ``repr``."""
+class Value(Slotted):
+    """A record whose annotated names, in order, are its fields: ``Slotted``'s ==
+    reads them, as do the constructor (a class attribute is a default), ``repr``
+    and ``to_json``.  Unhashable.  The fields live in the instance ``__dict__``,
+    which is the pickle state, so unpickling a ``Frozen`` never sets an attribute."""
 
     __hash__ = None
 
@@ -49,27 +51,36 @@ class Value:
         for name in fields:
             self.__dict__[name] = given[name] if name in given else vars(cls)[name]
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
+    def __getstate__(self):
+        return self.__dict__
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def to_json(self) -> dict:
+        return {name: as_json(getattr(self, name)) for name in self._fields}
+
 
 class Frozen(Value):
     """An immutable ``Value``, hashed by its field tuple."""
 
-    def __hash__(self):
-        return hash(self._astuple())
+    __hash__ = Slotted.__hash__
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
 
     __delattr__ = __setattr__
+
+
+def as_json(x):
+    """The JSON form of a field: a Fraction as its string, a tuple as a list,
+    a value with ``to_json`` as that, anything else as is."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, tuple):
+        return [as_json(item) for item in x]
+    return x.to_json() if hasattr(x, "to_json") else x
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +414,7 @@ class LogValue(Slotted):
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LogValue) and self.const == other.const
-                and self.logs == other.logs and self.err == other.err)
-
-    def __hash__(self):
+    def __hash__(self):  # logs is a dict
         return hash((self.const, tuple(sorted(self.logs.items())), self.err.lo, self.err.hi))
 
     # -- queries -----------------------------------------------------------

@@ -125,14 +125,29 @@ def _cmul(z: tuple, w: tuple) -> tuple:
 
 
 class Slotted:
-    """Base of the __slots__ value classes: pickles at every protocol, as the state
-    (None, {slot: value}) in slot order that protocols 2-5 build by default.
-    Private slots (a leading "_", such as a memo) are left out."""
+    """Base of every value class: one field list, ``_fields``, serves ==, hash and
+    pickling.  Here it is the public __slots__ in order (a leading "_", such as a
+    memo, is private and left out).  Two values are == when they are of the same
+    class and their field tuples are ==, and the hash is that of the tuple.  The
+    pickle state is (None, {field: value}), the state protocols 2-5 build by
+    default, so every protocol pickles and 2-5 give the same bytes as without it."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in vars(cls).get("__slots__", ()) if name[0] != "_")
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
     def __getstate__(self):
-        return None, {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+        return None, dict(zip(self._fields, self._astuple()))
 
 
 def _interval(x: tuple) -> "Interval":
@@ -248,14 +263,11 @@ class Interval(Slotted):
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
+
+    def to_json(self) -> dict:
+        return {"interval": [self.lo, self.hi]}
 
     @property
     def pair(self) -> tuple:

@@ -674,14 +674,6 @@ class LocalProfile(Value):
     g_v: LogValue | None         # present iff is_bad is True
     lambda_crit: LogValue
 
-    def to_json(self) -> dict:
-        return {
-            "place": self.place.to_json(),
-            "is_bad": self.is_bad,
-            "g_v": self.g_v.to_json() if self.g_v is not None else None,
-            "lambda_crit": self.lambda_crit.to_json(),
-        }
-
 
 def analyze(f: Poly, tol: float = 1e-9) -> tuple[list[LocalProfile], LogValue]:
     """Per-place reduction/critical data plus the global critical height."""

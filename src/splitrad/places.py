@@ -93,12 +93,6 @@ class Place(Slotted):
             return (2, self.pi.degree(), self.pi.coeffs)
         return (3, 0)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Place) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __lt__(self, other: "Place") -> bool:
         return self._key() < other._key()
 

@@ -19,14 +19,23 @@ from .places import FIELD_Q
 _PALETTE = ("#1b5e9e", "#2a8f5a", "#b0771d", "#a23a8f", "#c03a2b",
             "#2aa0a4", "#6b4fbb", "#777777")
 
+# Cap on the grid side.  Time and memory grow with its square: on one Intel
+# Xeon core, 600 (the default, and the most any caller uses) takes 0.8 s and
+# 57 MB, 2000 takes 13 s and 318 MB.
+_MAX_GRID = 2000
+
 
 def escape_rate_grid(f: Poly, window, grid: int, max_iter: int = 60) -> tuple:
     """(lam, xs, ys): escape-rate samples on a grid x window (float, non-certified)."""
     if f.field != FIELD_Q:
         raise DomainError("plotting runs over Q")
     x0, x1, y0, y1 = (float(w) for w in window)
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise DomainError("window must be finite, with a finite width and height")
     if not (x0 < x1 and y0 < y1) or grid < 2:
         raise DomainError("window must be nonempty and grid >= 2")
+    if grid > _MAX_GRID:
+        raise DomainError(f"grid {grid} exceeds the cap of {_MAX_GRID}")
     d = f.degree
     try:
         coeffs = [complex(c) for c in f.coeffs]
@@ -177,14 +186,11 @@ def _chain_polylines(segments, xs, ys):
 
 def contour_polylines(f: Poly, window, levels, grid: int, max_iter: int = 60) -> dict:
     """{level: [(points, closed), ...]} marching-squares contours of the escape rate."""
+    levels = sorted(float(l) for l in levels)
+    if not all(0 < level < math.inf for level in levels):
+        raise DomainError("levels must be finite and positive")
     lam, xs, ys = escape_rate_grid(f, window, grid, max_iter)
-    out = {}
-    for level in sorted(float(l) for l in levels):
-        if level <= 0:
-            raise DomainError("levels must be positive")
-        segs = _cell_crossings(lam, level)
-        out[level] = _chain_polylines(segs, xs, ys)
-    return out
+    return {level: _chain_polylines(_cell_crossings(lam, level), xs, ys) for level in levels}
 
 
 def equipotential_svg(f: Poly, window=(-7, 7, -6, 6),

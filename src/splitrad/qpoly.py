@@ -188,12 +188,6 @@ class QPoly(Slotted):
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other) -> "QPoly":
         """Sum with a QPoly or a rational scalar."""
         return QPoly(poly_add(self.coeffs, [other] if isinstance(other, (int, Fraction))
@@ -475,12 +469,6 @@ class RatFunc(Slotted):
                 raise ZeroDivisionError("0 to a negative power")
             return RatFunc(self.den ** (-e), self.num ** (-e))
         return RatFunc(self.num ** e, self.den ** e)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def valuation_at(self, pi: QPoly):
         """Order of vanishing at the monic irreducible pi; +inf for 0."""

@@ -12,8 +12,8 @@ import json
 import re
 from fractions import Fraction
 
-from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, Value, prime_support,
-                    valuation)
+from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, Value, as_json,
+                    prime_support, valuation)
 from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
                        preperiodic_points, superattracting_cycles)
 from .intervals import Interval, Slotted
@@ -33,16 +33,6 @@ class PlaceReport(Value):
     verdict: bool
     lambda_crit: LogValue
 
-    def to_json(self) -> dict:
-        return {
-            "place": self.place.to_json(),
-            "annulus_count": self.annulus_count,
-            "annulus_mass": str(self.annulus_mass),
-            "wing_counts": [[label, c] for label, c in self.wing_counts],
-            "verdict": self.verdict,
-            "lambda_crit": self.lambda_crit.to_json(),
-        }
-
 
 class EquidistributionReport(Value):
     n_points: int
@@ -52,17 +42,6 @@ class EquidistributionReport(Value):
     achieved_delta: Fraction | Interval | None  # an Interval when the ratio is irrational
     passing_weight: LogValue
     total_weight: LogValue
-
-    def to_json(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "eps": str(self.eps),
-            "m0": self.m0,
-            "places": [p.to_json() for p in self.places],
-            "achieved_delta": _ratio_json(self.achieved_delta),
-            "passing_weight": self.passing_weight.to_json(),
-            "total_weight": self.total_weight.to_json(),
-        }
 
 
 _MAX_CYCLE_PERIOD = 6  # the longest superattracting cycle an equidistribution report looks for
@@ -165,13 +144,6 @@ def _weight_ratio(num: LogValue, den: LogValue) -> Fraction | Interval | None:
         if (den * c).formal_equal(num):
             return c
     return num.to_interval() / den.to_interval()
-
-
-def _ratio_json(r: Fraction | Interval | None):
-    """The exact rational as a string, or a certified interval as {"interval": [lo, hi]}."""
-    if isinstance(r, Interval):
-        return {"interval": [r.lo, r.hi]}
-    return None if r is None else str(r)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +286,6 @@ class AbcQuality(Value):
     rad: LogValue
     quality: LogValue
 
-    def to_json(self) -> dict:
-        return {"h": self.h.to_json(), "rad": self.rad.to_json(),
-                "quality": self.quality.to_json()}
-
 
 def abc_quality(triple: AbcTriple) -> AbcQuality:
     """Naive height, radical and their difference for an abc triple; exact."""
@@ -373,7 +341,7 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
             skips.append((label, f"certificate failure: {e}"))
             continue
         verdicts = ";".join(f"{pr.place.label()}:{pr.verdict}" for pr in report.places)
-        delta = _ratio_json(report.achieved_delta)
+        delta = as_json(report.achieved_delta)
         base = {
             "family_param": label,
             "h_crit": repr(hc),

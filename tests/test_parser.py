@@ -42,6 +42,15 @@ def test_cli_exits_2_on_a_power_past_the_cap(capsys):
     assert "cap of 257" in capsys.readouterr().err
 
 
+def test_nesting_past_the_cap_is_a_parse_error(capsys):
+    assert parse_poly("(" * 100 + "z^2" + ")" * 100) == Poly([0, 0, 1])
+    for depth in (101, 200, 5000):
+        with pytest.raises(ParseError, match="nest deeper than the cap of 100"):
+            parse_poly("(" * depth + "z^2" + ")" * depth)
+    assert main(["hcrit", "--poly", "(" * 200 + "z^2" + ")" * 200]) == 2
+    assert "cap of 100" in capsys.readouterr().err
+
+
 def test_constant_powers_equal_repeated_products():
     for base, field in (("(2/3)", FIELD_Q), ("(-5)", FIELD_Q), ("(t + 1/t)", FIELD_QT),
                         ("((t^2 - 3)/(2*t + 1))", FIELD_QT)):

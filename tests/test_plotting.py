@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from splitrad.cli import main
 from splitrad.dynamics import parse_poly
 from splitrad.exact import DomainError
 from splitrad.plotting import (contour_polylines, equipotential_svg,
@@ -22,7 +25,6 @@ def _contains(outer, inner):
 def test_grid_matches_pointwise_escape():
     lam, xs, ys = escape_rate_grid(parse_poly("z^2"), (-2, 2, -2, 2), 41, 80)
     # lambda(z) = log|z| for |z| > 1, 0 inside, for the squaring map
-    import math
     for i, x in enumerate(xs):
         val = lam[20, i]  # row y = 0
         expect = math.log(abs(x)) if abs(x) > 1 else 0.0
@@ -36,7 +38,6 @@ def test_unit_circle_contour():
     assert len(closed) == 1
     x0, x1, y0, y1 = _bbox(closed[0])
     # the lambda = 1 level set of z^2 is the circle |z| = e
-    import math
     r = math.e
     assert abs(x1 - r) < 0.1 and abs(-x0 - r) < 0.1
     assert abs(y1 - r) < 0.1 and abs(-y0 - r) < 0.1
@@ -99,3 +100,28 @@ def test_window_validation():
 def test_coefficient_beyond_float_range_is_domain_error():
     with pytest.raises(DomainError, match="float range"):
         escape_rate_grid(parse_poly("z^2 + 10^400"), (-1, 1, -1, 1), 20)
+
+
+@pytest.mark.parametrize("window", [(0, math.inf, 0, 1), (-math.inf, 1, 0, 1),
+                                    (0, 1, math.nan, 1), (-1e308, 1e308, 0, 1)])
+def test_non_finite_window_is_domain_error(window):
+    with pytest.raises(DomainError, match="finite"):
+        escape_rate_grid(SPLASH, window, 20)
+
+
+def test_grid_past_the_cap_is_domain_error():
+    with pytest.raises(DomainError, match="cap of 2000"):
+        escape_rate_grid(parse_poly("z^2"), (-1, 1, -1, 1), 100_000)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -1.0])
+def test_level_not_finite_and_positive_is_domain_error(level):
+    with pytest.raises(DomainError, match="finite and positive"):
+        contour_polylines(SPLASH, (-1, 1, -1, 1), [0.5, level], 20)
+
+
+@pytest.mark.parametrize("flag, value", [("--grid", "100000"), ("--window", "0,inf,0,1"),
+                                         ("--levels", "nan")])
+def test_cli_exits_2_on_a_plot_that_cannot_end_well(flag, value, capsys):
+    assert main(["equipotential", "--poly", "z^2", f"{flag}={value}"]) == 2
+    assert "domain error" in capsys.readouterr().err

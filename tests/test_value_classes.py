@@ -1,17 +1,31 @@
-"""Contract of the plain value classes: constructor, ==, repr, hash, immutability, pickling."""
+"""Contract of the value classes, which all share one field list per class.
 
+For a __slots__ class the fields are its public slots; for a record built on
+``exact.Value`` they are its annotated names.  ``==``, ``hash`` (where the
+class hashes) and pickling read that list, and so do the constructor,
+``repr`` and ``to_json`` of an ``exact.Value``.  This file checks each:
+immutability of the frozen records, pickle round trips that give back an
+``==`` copy from the state protocols 2-5 build by default, and the shared
+JSON form against the per-class bodies it replaced.
+"""
+
+import json
+import os
 import pickle
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from splitrad import CBox, Interval, LogValue, Place, ProjectivePoint, QPoly, RatFunc
+from splitrad import (AbcTriple, CBox, Interval, LogValue, Place, ProjectivePoint, QPoly,
+                      RatFunc, abc_quality, analyze, equidistribution_report, parse_poly)
 from splitrad.berkovich import ChainLevel, DiskChain, WingCluster, WingClusters
 from splitrad.cli import RunConfig
 from splitrad.dynamics import PreperiodicPoint
 from splitrad.localheights import LocalProfile, NewtonPolygon
-from splitrad.stats import (AbcQuality, AbcTriple, EpsilonGoodResult, EpsilonGoodWitness,
+from splitrad.stats import (AbcQuality, EpsilonGoodResult, EpsilonGoodWitness,
                             EquidistributionReport, PairMomentResult, PlaceReport)
 
 LEVEL = ChainLevel(F(1, 2), 3, F(1, 3), 2)
@@ -107,6 +121,14 @@ def slot_items(obj):
 def test_slotted_pickle_round_trip(obj, protocol):
     back = pickle.loads(pickle.dumps(obj, protocol=protocol))
     assert type(back) is type(obj) and slot_items(back) == slot_items(obj)
+    assert back == obj
+    try:
+        h = hash(obj)
+    except TypeError:  # a ProjectivePoint, and an AbcTriple that holds one
+        with pytest.raises(TypeError):
+            hash(back)
+    else:
+        assert hash(back) == h
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="object.__getstate__ is new in 3.11")
@@ -116,6 +138,90 @@ def test_slotted_state_is_the_default_state(obj):
     # order, so those protocols pickle to the same bytes as before
     state, default = obj.__getstate__(), object.__getstate__(obj)
     assert state == default and list(state[1]) == list(default[1])
+
+
+def test_equal_slotted_values_are_equal_and_hash_alike():
+    assert CBox(Interval(0, 1), Interval(0, 1)) == CBox(Interval(0, 1), Interval(0, 1))
+    assert hash(CBox(Interval(0, 1), Interval(0, 1))) == hash(CBox(Interval(0, 1), Interval(0, 1)))
+    assert CBox(Interval(0, 1), Interval(0, 1)) != CBox(Interval(0, 1), Interval(0, 2))
+    assert AbcTriple([1, 8, -9]) == AbcTriple([2, 16, -18]) != AbcTriple([1, -9, 8])
+    assert Interval(0, 1) != (0.0, 1.0) and Place.finite(5) != 5
+    assert {Place.finite(5), Place.finite(5), Place.arch()} == {Place.arch(), Place.finite(5)}
+
+
+def test_value_pickle_script_covers_every_class():
+    # the stand-alone script that the Python-floor CI job runs
+    here = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(here.parent / "src")}
+    run = subprocess.run([sys.executable, str(here / "check_value_pickles.py")], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.startswith("23 value classes")
+
+
+# The to_json bodies of these four classes before they shared Value.to_json,
+# kept to pin its output: same keys, order and values.
+def ratio_json(r):
+    if isinstance(r, Interval):
+        return {"interval": [r.lo, r.hi]}
+    return None if r is None else str(r)
+
+
+def place_report_json(r):
+    return {"place": r.place.to_json(), "annulus_count": r.annulus_count,
+            "annulus_mass": str(r.annulus_mass),
+            "wing_counts": [[label, c] for label, c in r.wing_counts],
+            "verdict": r.verdict, "lambda_crit": r.lambda_crit.to_json()}
+
+
+def report_json(r):
+    return {"n_points": r.n_points, "eps": str(r.eps), "m0": r.m0,
+            "places": [place_report_json(p) for p in r.places],
+            "achieved_delta": ratio_json(r.achieved_delta),
+            "passing_weight": r.passing_weight.to_json(), "total_weight": r.total_weight.to_json()}
+
+
+def profile_json(r):
+    return {"place": r.place.to_json(), "is_bad": r.is_bad,
+            "g_v": r.g_v.to_json() if r.g_v is not None else None,
+            "lambda_crit": r.lambda_crit.to_json()}
+
+
+def abc_json(q):
+    return {"h": q.h.to_json(), "rad": q.rad.to_json(), "quality": q.quality.to_json()}
+
+
+REFERENCE_JSON = {PlaceReport: place_report_json, EquidistributionReport: report_json,
+                  LocalProfile: profile_json, AbcQuality: abc_json}
+
+SPLASH = parse_poly("z^3 + (1/5)*z^2")
+LAM = LogValue(F(1, 3), {5: F(1, 2)}, Interval(-1e-9, 2e-9))
+PLACE_REPORT = PlaceReport(Place.finite(5), 1, F(1, 3), (("0", 1), ("cluster1", 0)), False, LAM)
+JSON_CASES = [
+    PLACE_REPORT,
+    EquidistributionReport(2, F(1, 2), 1, (PLACE_REPORT,), Interval(0.25, 0.5), LAM, LAM * 2),
+    EquidistributionReport(2, F(1, 2), 1, (PLACE_REPORT, PLACE_REPORT), F(1, 2), LAM, LAM * 2),
+    EquidistributionReport(1, F(1, 3), 2, (), None, LogValue.zero(), LogValue.zero()),
+    LocalProfile(Place.finite(5), True, LogValue.from_log(5, F(-1, 2)), LAM),
+    LocalProfile(Place.arch(), None, None, LogValue.from_interval(Interval(0.1, 0.2))),
+    LocalProfile(Place.finite_poly(QPoly([1, 0, 1])), False, None, LogValue.zero()),
+    AbcQuality(LogValue.log_abs(9), LogValue.log_abs(6), LogValue.log_abs(F(3, 2))),
+    equidistribution_report(SPLASH, [0, F(-1, 5)], F(1, 2), 1),
+    *analyze(SPLASH)[0],
+    abc_quality(AbcTriple([1, 8, -9])),
+]
+
+
+@pytest.mark.parametrize("obj", JSON_CASES, ids=[f"{type(obj).__name__}{i}"
+                                                 for i, obj in enumerate(JSON_CASES)])
+def test_shared_to_json_matches_the_per_class_bodies(obj):
+    assert json.dumps(obj.to_json()) == json.dumps(REFERENCE_JSON[type(obj)](obj))
+
+
+def test_field_json_forms():
+    assert Interval(0, 1).to_json() == {"interval": [0.0, 1.0]}
+    assert LEVEL.to_json() == {"t": "1/2", "k": 3, "mass": "1/3", "q": 2}
+    assert RunConfig().to_json()["eps"] == "1/2"
 
 
 def test_preperiodic_points_order_by_value_then_preperiod_then_period():
