@@ -20,7 +20,6 @@ p come from Cantor-Zassenhaus (Math. Comp. 36, 1981) for every p.
 from __future__ import annotations
 
 import math
-import random
 from enum import Enum
 from fractions import Fraction
 
@@ -28,8 +27,8 @@ from .exact import DomainError, Frozen, LogValue, UndeterminedError, Value, is_p
 from .dynamics import Poly
 from .localheights import newton_polygon, splitting_exponent
 from .places import FIELD_Q, Place
-from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_from_power_sums,
-                    poly_gcd, poly_monic, poly_power_sums, poly_powmod, poly_trim)
+from .qpoly import (QPoly, _fp_roots, _fp_squarefree, poly_from_power_sums, poly_power_sums,
+                    poly_trim)
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +87,19 @@ def _gauss_solve(coeffs, p: int, target: Fraction) -> Fraction:
     return min((target + valuation(c, p)) / i for i, c in enumerate(coeffs) if i and c)
 
 
+# Deepest chain inner_disk_chain builds.  The exact radii grow with the level,
+# so a chain's printed size grows with the square of its depth: `disk-chain`
+# on z^3 + z^2/5 at 5 prints 1.0 MB in 0.21 s at depth 1000 and 15.9 MB in
+# 0.85 s at depth 4000.  The CLI checks depth and m0 + 1 against it up front.
+_MAX_CHAIN_DEPTH = 1000
+
+
 def inner_disk_chain(f: Poly, p: int, depth: int) -> DiskChain:
     """Descending disks about 0: exact radii, local degrees, masses, denominators."""
     if depth < 1:
         raise DomainError("depth >= 1 required")
+    if depth > _MAX_CHAIN_DEPTH:
+        raise DomainError(f"chain depth {depth} is above the cap of {_MAX_CHAIN_DEPTH}")
     g = _check_chain_preconditions(f, p)
     d = f.degree
     npf = newton_polygon(f, p)
@@ -153,67 +161,6 @@ def annulus_membership_in_chain(chain: DiskChain, z, m0: int) -> AnnulusPosition
     if dist > tm1:
         return AnnulusPosition.INSIDE
     return AnnulusPosition.DEEPER
-
-
-# ---------------------------------------------------------------------------
-# squarefree pieces and roots mod p (for residue clustering)
-# ---------------------------------------------------------------------------
-
-def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
-    """[(monic squarefree factor, multiplicity)] over F_p, handling p-th powers.
-
-    The multiplicities are distinct, and the order of the pieces depends on
-    their multiplicities alone: those prime to p ascending, then (recursively)
-    the multiples of p.
-    """
-    if len(a) - 1 < 1:
-        return []
-    a = poly_monic(a, p)
-    da = poly_derivative(a, p)
-    if not da:  # a = u(w^p), a p-th power over F_p
-        u = poly_trim(a[::p])
-        return [(q, m * p) for q, m in _fp_squarefree(u, p)]
-    out: list[tuple[list[int], int]] = []
-    g = poly_gcd(a, da, p)
-    b = poly_divmod(a, g, p)[0]
-    m = 1
-    while len(b) - 1 >= 1:
-        c = poly_gcd(b, g, p)
-        piece = poly_divmod(b, c, p)[0]
-        if len(piece) - 1 >= 1:
-            out.append((piece, m))
-        b = c
-        g = poly_divmod(g, c, p)[0]
-        m += 1
-    if len(g) - 1 >= 1:  # leftover p-th power part
-        u = poly_trim(g[::p])
-        out.extend((q, mm * p) for q, mm in _fp_squarefree(u, p))
-    return out
-
-
-def _fp_roots(a: list[int], p: int) -> list[int]:
-    """Sorted distinct roots in F_p of a nonzero a with a(0) != 0 (Cantor-Zassenhaus).
-
-    gcd(x^p - x, a) is the product of the linear factors; random splits by
-    (x + c)^((p-1)/2) - 1 separate them.  That split needs odd p, and at
-    p = 2 none is needed: with a(0) != 0 the only candidate root is 1.
-    """
-    lin = poly_gcd(poly_add(poly_powmod([0, 1], p, a, p), [0, -1], p), a, p)
-    rng = random.Random(0x526F)
-    out: list[int] = []
-    stack = [lin]
-    while stack:
-        h = stack.pop()  # monic
-        if len(h) == 2:
-            out.append(-h[0] % p)
-        elif len(h) > 2:
-            while True:
-                t = poly_add(poly_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p), [-1], p)
-                s = poly_gcd(t, h, p)
-                if 1 < len(s) < len(h):
-                    stack += [s, poly_divmod(h, s, p)[0]]
-                    break
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

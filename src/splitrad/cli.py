@@ -42,6 +42,14 @@ class RunConfig(Value):
             raise DomainError("tolerance must be positive")
         if min(self.nonarch_maxiter, self.arch_maxiter, self.depth, self.m0, self.grid) < 1:
             raise DomainError("iteration caps and sizes must be >= 1")
+        # disk-chain builds depth levels and the m0 reports m0 + 1; up to the
+        # default depth no chain reaches the cap, so berkovich stays unloaded
+        chain_depth = max(self.depth, self.m0 + 1)
+        if chain_depth > RunConfig.depth:
+            from .berkovich import _MAX_CHAIN_DEPTH
+            if chain_depth > _MAX_CHAIN_DEPTH:
+                raise DomainError(f"depth and m0 + 1 must be at most the chain depth cap of "
+                                  f"{_MAX_CHAIN_DEPTH}; got depth {self.depth}, m0 {self.m0}")
 
 
 def _read_config(path: str | None) -> dict:

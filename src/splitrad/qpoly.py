@@ -5,7 +5,8 @@ routines over coefficient lists, lowest degree first: poly_trim, poly_add,
 poly_mul, poly_divmod, poly_monic, poly_gcd (monic), poly_derivative,
 poly_powmod (modulo a polynomial), poly_horner, poly_shift (Taylor shift),
 and poly_power_sums and poly_from_power_sums (Newton's identities, which
-build polynomials from the images or differences of roots).  An optional
+build polynomials from the images or differences of roots); _fp_squarefree
+and _fp_roots give the squarefree pieces and the roots over F_p.  An optional
 prime modulus p makes the routines that take it work over F_p on integer
 lists; without it they work over Q on Fractions, and add, mul, Horner and
 shift work over any ring whose elements mix with their argument (int,
@@ -23,6 +24,7 @@ only for a rest of degree >= 4.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -157,6 +159,70 @@ def poly_from_power_sums(ps) -> list:
             raise ValueError("power sums over Z of roots that are not algebraic integers")
         c[n - k] = -acc // k if type(acc) is int else -acc / k
     return c
+
+
+def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
+    """[(monic squarefree factor, multiplicity)] over F_p, handling p-th powers.
+
+    The multiplicities are distinct, and the order of the pieces depends on
+    their multiplicities alone: those prime to p ascending, then (recursively)
+    the multiples of p.
+    """
+    if len(a) - 1 < 1:
+        return []
+    a = poly_monic(a, p)
+    da = poly_derivative(a, p)
+    if not da:  # a = u(w^p), a p-th power over F_p
+        u = poly_trim(a[::p])
+        return [(q, m * p) for q, m in _fp_squarefree(u, p)]
+    out: list[tuple[list[int], int]] = []
+    g = poly_gcd(a, da, p)
+    b = poly_divmod(a, g, p)[0]
+    m = 1
+    while len(b) - 1 >= 1:
+        c = poly_gcd(b, g, p)
+        piece = poly_divmod(b, c, p)[0]
+        if len(piece) - 1 >= 1:
+            out.append((piece, m))
+        b = c
+        g = poly_divmod(g, c, p)[0]
+        m += 1
+    if len(g) - 1 >= 1:  # leftover p-th power part
+        u = poly_trim(g[::p])
+        out.extend((q, mm * p) for q, mm in _fp_squarefree(u, p))
+    return out
+
+
+def _fp_roots(a: list[int], p: int) -> list[int]:
+    """Sorted distinct roots in F_p of an a that is nonzero over F_p (Cantor-Zassenhaus).
+
+    The root 0 is read off the low coefficients, and a linear rest gives its
+    root at once.  Otherwise gcd(x^p - x, a) is the product of the linear
+    factors; random splits by (x + c)^((p-1)/2) - 1 separate them.  That
+    split needs odd p, and at p = 2 none is needed: the only nonzero
+    candidate root is 1.
+    """
+    a = _reduce(a, p)
+    zeros = next(i for i, c in enumerate(a) if c)
+    a = a[zeros:]
+    out: list[int] = [0] if zeros else []
+    if len(a) == 2:
+        out.append(-a[0] * pow(a[1], -1, p) % p)
+    elif len(a) > 2:
+        stack = [poly_gcd(poly_add(poly_powmod([0, 1], p, a, p), [0, -1], p), a, p)]
+        rng = random.Random(0x526F)
+        while stack:
+            h = stack.pop()  # monic
+            if len(h) == 2:
+                out.append(-h[0] % p)
+            elif len(h) > 2:
+                while True:
+                    t = poly_add(poly_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p), [-1], p)
+                    s = poly_gcd(t, h, p)
+                    if 1 < len(s) < len(h):
+                        stack += [s, poly_divmod(h, s, p)[0]]
+                        break
+    return sorted(out)
 
 
 class QPoly(Slotted):

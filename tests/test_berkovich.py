@@ -33,6 +33,15 @@ def test_chain_rejects_good_place_and_bad_normalization():
         inner_disk_chain(F5, 3, 3)  # p divides d
 
 
+def test_chain_depth_cap():
+    from splitrad.berkovich import _MAX_CHAIN_DEPTH
+    assert len(inner_disk_chain(F5, 5, _MAX_CHAIN_DEPTH).levels) == _MAX_CHAIN_DEPTH
+    with pytest.raises(DomainError, match=f"chain depth {_MAX_CHAIN_DEPTH + 1} is above the cap"):
+        inner_disk_chain(F5, 5, _MAX_CHAIN_DEPTH + 1)
+    with pytest.raises(DomainError, match="above the cap"):
+        annulus_membership(F5, 5, F(1, 5), _MAX_CHAIN_DEPTH)  # builds depth m0 + 1
+
+
 def test_chain_masses_multiply():
     ch = inner_disk_chain(F5, 5, 8)
     d = ch.degree

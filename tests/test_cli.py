@@ -195,6 +195,25 @@ def test_runconfig_validation():
         RunConfig(depth=0)
 
 
+def test_chain_depth_and_m0_above_the_cap_exit_2_before_any_work(capsys, tmp_path):
+    # m0 = 100000 would build a chain of 100001 levels for every bad place
+    chain = ("--poly", "z^3 + (1/5)*z^2", "--place", "5")
+    cases = [("disk-chain", *chain, "--depth", "1001"),
+             ("equidistribution", "--poly", "z^3 + (1/5)*z^2", "--points", "0,1", "--m0", "100000"),
+             ("experiment", "--family", "z^3 + (1/a)*z^2", "--values", "5,7", "--m0", "1000")]
+    config = tmp_path / "deep.cfg"
+    config.write_text("depth = 5000\n", encoding="utf-8")
+    cases.append(("--config", str(config), "disk-chain", *chain))
+    for argv in cases:
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "at most the chain depth cap of 1000" in err, argv
+        assert time.monotonic() - start < 5.0, argv  # uncapped, m0 = 100000 ran past 30 s
+    code, out, _ = run(capsys, "disk-chain", *chain, "--depth", "1000")
+    assert code == 0 and len(out.splitlines()) == 1001
+
+
 def test_config_precedence_flag_then_file_then_default():
     from fractions import Fraction
     from splitrad.cli import RunConfig, _build_config, build_parser

@@ -1,10 +1,13 @@
+import json
 import math
 import pickle
 import random
+import re
 import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -16,7 +19,7 @@ from splitrad.dynamics import (ParseError, Poly, PreperiodicPoint, candidate_bad
                                superattracting_cycles)
 from splitrad.exact import DomainError, UndeterminedError, divisors
 from splitrad.places import FIELD_QT
-from splitrad.qpoly import RatFunc
+from splitrad.qpoly import RatFunc, poly_horner, poly_mul
 
 
 def test_parse_examples():
@@ -361,6 +364,115 @@ def test_preperiodic_points_match_the_fraction_search(f):
     got = preperiodic_points(f)
     event(f"preperiodic points found: {bool(got)}")
     assert got == _preperiodic_reference(f)
+
+
+# (q, e) with q^e <= 2000, so every residue mod q^e can be tried
+_PRIME_POWERS = [(q, e) for q in (2, 3, 5, 7) for e in range(1, 11) if q ** e <= 2000]
+
+
+@st.composite
+def _lifting_case(draw):
+    """q^j times a product of (x - r)^m times a rest: j > 0 vanishes mod q, m > 1 repeats."""
+    q, e = draw(st.sampled_from(_PRIME_POWERS))
+    P = [q ** draw(st.integers(0, e))]
+    for r, m in draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 3)), max_size=3)):
+        for _ in range(m):
+            P = poly_mul(P, [-r, 1])
+    P = poly_mul(P, draw(st.lists(st.integers(-30, 30), max_size=2)) + [draw(st.integers(1, 30))])
+    return P, q, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lifting_case())
+@example(([0, 0, 4], 2, 5))                 # 4 n^2: vanishes mod 2, a double root
+@example(([-1, 3, -3, 1], 3, 6))            # (n - 1)^3, a triple root
+@example(([0, 28, 28, 7], 7, 3))            # 7 n (n + 2)^2
+@example(([8], 2, 3))                       # a constant: every n
+@example(([8], 2, 4))                       # a constant: no n
+@example(([2, 0, 1], 3, 6))                 # n^2 + 2: no root mod 3
+@example(([0, 0, 1, 0, 0, 5], 5, 4))        # n^2 (5 n^3 + 1)
+def test_root_classes_match_every_residue(case):
+    P, q, e = case
+    qe = q ** e
+    classes = dynamics._root_classes(P, q, e)
+    assert all(0 <= r < q ** k and k <= e for r, k in classes)
+    covered = sorted(n for r, k in classes for n in range(r, qe, q ** k))  # a repeat: overlap
+    assert covered == [n for n in range(qe) if poly_horner(P, n) % qe == 0]
+
+
+_filter_dens = st.sampled_from([2, 3, 4, 8, 9, 27, 5, 25])
+_filter_maps = st.builds(
+    lambda low, lc: Poly(low + [lc]),
+    st.lists(st.builds(F, st.integers(-6, 6), _filter_dens), min_size=2, max_size=5),
+    st.one_of(st.just(F(1)), st.builds(F, st.sampled_from([-3, -2, -1, 2, 3]), _filter_dens)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_filter_maps)
+@example(parse_poly("z^4 + (1/30)*z^3 + (1/7)*z^2"))  # four primes in D, combined by CRT
+@example(parse_poly("z^3 + (1/1024)*z^2"))            # D = 2^30, eleven layers
+@example(parse_poly("-(1/3)*z^3 + (1/9)*z"))          # leading coefficient -1/3, B = 1
+def test_preperiodic_residue_filter_matches_the_fraction_search(f):
+    R, B, F_ = dynamics._search_box(f)
+    assume(sum(2 * int(R * b) + 1 for b in divisors(B)) <= 20_000)
+    event(f"degree {f.degree}, monic: {f.is_monic()}")
+    got = preperiodic_points(f)
+    event(f"preperiodic points found: {bool(got)}")
+    assert got == _preperiodic_reference(f)
+
+
+def _starts_tried(f):
+    """How many start points preperiodic_points(f) walks: it calls math.gcd once for each."""
+    tried = []
+
+    def profile(frame, event, arg):
+        if (event == "c_call" and arg is math.gcd
+                and frame.f_code is preperiodic_points.__code__):
+            tried.append(1)
+
+    sys.setprofile(profile)
+    try:
+        preperiodic_points(f)
+    finally:
+        sys.setprofile(None)
+    return len(tried)
+
+
+def test_preperiodic_search_walks_only_the_residue_classes():
+    # B = 997 and D = 997^3: 3996 points in the box, 11 of them in the classes
+    assert _starts_tried(parse_poly("z^3 + (1/997)*z^2")) <= 20
+
+
+_BENCH_REF = Path(__file__).resolve().parent.parent / "bench" / "ref"
+
+
+def _pool_maps():
+    """Every map of the family_scan pool and of the cli_mix preperiodic and experiment kinds."""
+    def load(name):
+        return json.loads((_BENCH_REF / f"{name}.json").read_text(encoding="utf-8"))["kinds"]
+
+    def substitute(family, param, value):
+        return re.sub(rf"\b{re.escape(param)}\b", f"({value})", family)
+
+    texts = {substitute(e["args"]["family"], "a", e["args"]["value"])
+             for entries in load("family_scan").values() for e in entries}
+    mix = load("cli_mix")
+    for e in mix["preperiodic"] + mix["experiment"]:
+        argv = e["args"]["argv"]
+        flag = dict(zip(argv[1::2], argv[2::2]))
+        if "--poly" in flag:
+            texts.add(flag["--poly"])
+        else:
+            texts |= {substitute(flag["--family"], flag["--param"], v)
+                      for v in flag["--values"].split(",")}
+    return sorted(texts)
+
+
+@pytest.mark.full_pools
+@pytest.mark.parametrize("text", _pool_maps())
+def test_pool_map_preperiodic_points_match_the_fraction_search(text):
+    f = parse_poly(text)
+    assert preperiodic_points(f) == _preperiodic_reference(f)
 
 
 def test_superattracting_cycles_derivative_vanishes():

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from splitrad import exact
 from splitrad.exact import prime_support
-from splitrad.qpoly import (QPoly, RatFunc, poly_derivative, poly_divmod, poly_gcd, poly_mul,
-                            poly_powmod, poly_shift, poly_trim)
+from splitrad.qpoly import (QPoly, RatFunc, _fp_roots, poly_derivative, poly_divmod, poly_gcd,
+                            poly_horner, poly_mul, poly_powmod, poly_shift, poly_trim)
 
 _x = sympy.Symbol("x")
 
@@ -71,6 +71,27 @@ def test_kernel_over_fp_matches_sympy(case):
     assert poly_derivative(a, p) == _from_sympy(A.diff(_x), p)
     assume(len(b) > 1)
     assert poly_powmod(a, e, b, p) == _from_sympy((A ** e).rem(B), p)
+
+
+@st.composite
+def _fp_roots_case(draw):
+    """A prime and a product of linear factors
+    (the root 0 and repeated roots included) times a random rest."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 101, 211, 997, 7919]))
+    a = [1]
+    for r in draw(st.lists(st.integers(0, p - 1), max_size=4)):
+        a = poly_mul(a, [-r % p, 1], p)
+    rest = draw(st.lists(st.integers(0, p - 1), max_size=4).map(lambda cs: poly_trim(list(cs))))
+    a = poly_mul(a, rest or [1], p)
+    assume(a)
+    return p, [c + p * draw(st.integers(-3, 3)) for c in a]  # any lift of a to Z
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fp_roots_case())
+def test_fp_roots_match_trying_every_residue(case):
+    p, a = case
+    assert _fp_roots(a, p) == [t for t in range(p) if poly_horner(a, t) % p == 0]
 
 
 def test_negative_power_of_a_qpoly_raises():
