@@ -9,17 +9,17 @@ are resolved one residue digit deep, which is exactly the resolution the
 cluster relation (distance < splitting radius) requires.
 
 Three facts keep the wing clusters to one assembly.  The Newton polygon of
-f counts the roots below and at size p^g.  For fractional g the roots of
-size p^g are simple once no two of them are closer than p^g, since a
-repeated root is a pair at distance 0.  For integer g the squarefree
-decomposition mod p orders its pieces by multiplicity alone, so reading
-residue and extension clusters piece by piece keeps their order.  Roots mod
-p come from Cantor-Zassenhaus (Math. Comp. 36, 1981) for every p.
+f counts the roots below and at size p^g.  For fractional g = u/e the roots
+of size p^g lie pairwise at distance exactly p^g, and so are simple, exactly
+when p does not divide e and Ore's residual polynomial of the slope-g side
+is squarefree over F_p: one gcd of degree at most d/e.  For integer g the
+squarefree decomposition mod p orders its pieces by multiplicity alone, so
+reading residue and extension clusters piece by piece keeps their order.
+Roots mod p come from Cantor-Zassenhaus (Math. Comp. 36, 1981) for every p.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 
@@ -27,8 +27,7 @@ from .exact import DomainError, Frozen, LogValue, UndeterminedError, Value, is_p
 from .dynamics import Poly
 from .localheights import newton_polygon, splitting_exponent
 from .places import FIELD_Q, Place
-from .qpoly import (QPoly, _fp_roots, _fp_squarefree, poly_from_power_sums, poly_power_sums,
-                    poly_trim)
+from .qpoly import _fp_roots, _fp_squarefree, poly_derivative, poly_gcd, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +241,32 @@ def _mod_reduce(x: Fraction, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
+def _side_roots_apart(side: tuple[Fraction, ...], p: int, g: Fraction) -> bool:
+    """Whether the roots on the slope-g side of a Newton polygon lie pairwise at distance p^g.
+
+    side holds the coefficients a_i0, ..., a_i1 of that side, and g = u/e in
+    lowest terms.  A root of size p^g has a leading term c*pi^(-u) with
+    pi^e = p, and c^e is a root of the residual polynomial
+    R(y) = sum_j red(a_(i0+je) / p^(v(a_i0)+ju)) y^j over F_p; a root of R of
+    multiplicity m carries m*e of the roots (O. Ore, 1928; J. Guardia,
+    J. Montes and E. Nart, Trans. AMS 364, 2012).
+    - If p does not divide e and R is squarefree, the e roots over each root
+      of R have distinct leading terms, the e distinct e-th roots of a nonzero
+      residue, so every pair is at distance exactly p^g.
+    - Otherwise some root of R carries m*e roots but has fewer than m*e e-th
+      roots in the residue field: a repeated root has m >= 2, and p | e
+      leaves at most e/p of them.  By pigeonhole two roots share a leading
+      term, so they lie closer than p^g.
+    """
+    u, e = g.numerator, g.denominator
+    if e % p == 0:
+        return False
+    v0 = valuation(side[0], p)
+    r = [_mod_reduce(side[j * e] / Fraction(p) ** (v0 + j * u), p)
+         for j in range((len(side) - 1) // e + 1)]
+    return poly_gcd(r, poly_derivative(r, p), p) == [1]
+
+
 def wing_clusters(f: Poly, p: int) -> WingClusters:
     """Clusters of the level-1 preimage components, by the relation distance < g_v.
 
@@ -254,9 +279,9 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
       that multiplicity.  Residue clusters come sorted by residue, centre-less
       ones in the order of the pieces, which depends on multiplicity alone.
     - fractional g: the Newton polygon of f counts the small roots and the
-      size-p^g roots, which are all irrational.  Once the difference
-      polynomial shows no two of them closer than p^g, none is repeated (a
-      repeated root is a pair at distance 0), so each is its own cluster.
+      size-p^g roots, which are all irrational.  Once the residual
+      polynomial of the slope-g side shows them pairwise at distance exactly
+      p^g (_side_roots_apart), none is repeated, so each is its own cluster.
     No deep Hensel lifting is ever required.  Masses are exact root counts over d.
     """
     g = _check_chain_preconditions(f, p)
@@ -288,7 +313,7 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
         npf = newton_polygon(fq, p)
         small_count = npf.roots_with_size_less(g)
         outer = [1] * sum(length for slope, length in npf.segments if slope == g)
-        if len(outer) > 1 and _close_big_pairs(fq, p, g, small_count) > 0:
+        if not _side_roots_apart(fq.coeffs[small_count:small_count + len(outer) + 1], p, g):
             raise UndeterminedError("cannot certify the splitting of ramified wing roots")
 
     small_rat = sum(m for _, m in small_members)
@@ -315,53 +340,6 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
     if len(clusters) < 2:
         raise UndeterminedError("bad place produced a single cluster; inconsistent data")
     return WingClusters(p, d, g, tuple(clusters))
-
-
-def _difference_poly(fq: QPoly) -> QPoly:
-    """Monic prod_{i,j} (x - (a_i - a_j)) over the roots of fq, whose power sums are
-    sum_l C(k,l) (-1)^(k-l) s_l s_(k-l) for the power sums s_l of those roots
-    (Bostan, Flajolet, Salvy and Schost, J. Symbolic Comput. 41, 2006).
-
-    All on integers: with L the lcm of the coefficient denominators of the monic
-    fq, the roots L*a_i are those of a monic integer polynomial, so they and their
-    differences are algebraic integers.  Their power sums are rational algebraic
-    integers, hence integers, and so are the coefficients of the monic polynomial
-    of the differences: every division by k in Newton's identities is exact.  Its
-    coefficient of x^(n-k), n = deg(fq)^2, is the one for the a_i - a_j times L^k.
-    """
-    a = fq.monic().coeffs
-    m = len(a) - 1
-    L = math.lcm(*(c.denominator for c in a))
-    b = [c.numerator * L ** (m - i) // c.denominator for i, c in enumerate(a)]
-    n = m * m
-    s = poly_power_sums(b, n)  # of the L*a_i
-    c = poly_from_power_sums([sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l]
-                                  for l in range(k + 1)) for k in range(n + 1)])
-    return QPoly([Fraction(c[n - k], L ** k) for k in range(n, -1, -1)])
-
-
-def _close_big_pairs(fq: QPoly, p: int, g: Fraction, small_count: int) -> int:
-    """Number of ordered pairs of distinct roots at distance < p^g beyond the small block.
-
-    Reads the multiset of pairwise root differences off the difference
-    polynomial; differences within the small block account for
-    small_count*(small_count-1) of the sub-p^g entries, the rest are
-    uncertifiable proximities among the outer roots.
-    """
-    d = fq.degree()
-    diff_poly = _difference_poly(fq)
-    # split off x^ord0: the i = j pairs (and coincident-root pairs)
-    ord0 = 0
-    cs = list(diff_poly.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        ord0 += 1
-    reduced = QPoly(cs)
-    below = ord0 - d
-    if reduced.degree() >= 1:
-        below += newton_polygon(reduced, p).roots_with_size_less(g)
-    small_pairs = small_count * (small_count - 1)
-    return max(0, below - small_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,15 @@ routines over coefficient lists, lowest degree first: poly_trim, poly_add,
 poly_mul, poly_divmod, poly_monic, poly_gcd (monic), poly_derivative,
 poly_powmod (modulo a polynomial), poly_horner, poly_shift (Taylor shift),
 and poly_power_sums and poly_from_power_sums (Newton's identities, which
-build polynomials from the images or differences of roots); _fp_squarefree
-and _fp_roots give the squarefree pieces and the roots over F_p.  An optional
-prime modulus p makes the routines that take it work over F_p on integer
-lists; without it they work over Q on Fractions, and add, mul, Horner and
-shift work over any ring whose elements mix with their argument (int,
-Fraction, RatFunc, complex).  The Newton pair works over Z or over Q, in
-the ring of its input.  QPoly wraps the kernel over Q and adds rational
-roots.  RatFunc wraps a reduced num/den pair and provides the valuations
-that make Q(t) a product-formula field (finite places = monic
+build the polynomial of the images of roots); _fp_squarefree and _fp_roots
+give the squarefree pieces and the roots over F_p.  An optional prime
+modulus p makes the routines that take it work over F_p on integer lists;
+without it they work over Q on Fractions, and add, mul, Horner and shift
+work over any ring whose elements mix with their argument (int, Fraction,
+RatFunc, complex).  poly_power_sums stays in the ring of its input, and
+poly_from_power_sums works over Q.  QPoly wraps the kernel over Q and adds
+rational roots.  RatFunc wraps a reduced num/den pair and provides the
+valuations that make Q(t) a product-formula field (finite places = monic
 irreducibles, plus the degree valuation at t = infinity).  Rational roots
 come from integer brackets of the real roots (bisection on monotone
 pieces), so no divisor of a coefficient is ever enumerated;
@@ -143,21 +143,15 @@ def poly_power_sums(a, n: int) -> list:
 
 
 def poly_from_power_sums(ps) -> list:
-    """The monic polynomial of degree len(ps) - 1 whose roots have the power sums ps.
-
-    Newton's identities divide by k: with / over Q, and with // over Z, exact when
-    the roots are algebraic integers (their elementary symmetric functions are then
-    rational algebraic integers, hence integers); a remainder raises ValueError.
-    """
+    """The monic polynomial of degree len(ps) - 1 whose roots have the power sums ps,
+    given as Fractions: Newton's identities divide by k."""
     n = len(ps) - 1
     c = [0] * n + [1]
     for k in range(1, n + 1):
         acc = ps[k]
         for i in range(1, k):
             acc += c[n - i] * ps[k - i]
-        if type(acc) is int and acc % k:
-            raise ValueError("power sums over Z of roots that are not algebraic integers")
-        c[n - k] = -acc // k if type(acc) is int else -acc / k
+        c[n - k] = -acc / k
     return c
 
 

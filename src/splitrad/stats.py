@@ -62,6 +62,16 @@ def _superattracting_normalization(f: Poly) -> tuple[Poly, Fraction, int]:
     return conjugate(Poly(g.coeffs), 1, -p0), p0, m
 
 
+def _check_m0(m0: int) -> None:
+    """Reject an m0 whose m0 + 1 chain levels inner_disk_chain would refuse, before any work."""
+    from .berkovich import _MAX_CHAIN_DEPTH
+
+    if m0 < 1:
+        raise DomainError("m0 >= 1 required")
+    if m0 + 1 > _MAX_CHAIN_DEPTH:
+        raise DomainError(f"m0 + 1 = {m0 + 1} is above the chain depth cap of {_MAX_CHAIN_DEPTH}")
+
+
 def equidistribution_report(f: Poly, T, eps, m0: int,
                             tol: float = 1e-9) -> EquidistributionReport:
     """Per-bad-place annulus/wing verdicts for the point set T, all comparisons exact.
@@ -78,8 +88,7 @@ def equidistribution_report(f: Poly, T, eps, m0: int,
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise DomainError("eps must lie in (0, 1)")
-    if m0 < 1:
-        raise DomainError("m0 >= 1 required")
+    _check_m0(m0)
     pts = [Fraction(z) for z in T]
     if not pts:
         raise DomainError("T must be nonempty")
@@ -310,6 +319,7 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
     """
     if param in ("z", "t"):
         raise DomainError("parameter name collides with a variable")
+    _check_m0(m0)
     rows: list[dict] = []
     skips: list[tuple[str, str]] = []
     pattern = re.compile(rf"\b{re.escape(param)}\b")

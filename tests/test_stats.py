@@ -326,3 +326,24 @@ def test_theorem_experiment_triples_emitted():
     # members with a single nonzero preperiodic point emit one empty-triple row
     rows1, _ = theorem_experiment("z^3 - (a/5)*z^2", "a", [1], 1, F(1, 2))
     assert len(rows1) == 1 and rows1[0]["triple"] == ""
+
+
+def test_m0_above_the_chain_depth_cap_raises_before_any_work(monkeypatch):
+    # uncapped, every critical height and preperiodic search ran, then every value was
+    # filed as a certificate-failure skip when inner_disk_chain refused m0 + 1 levels
+    calls = []
+
+    def spy(name):
+        real = getattr(splitrad.stats, name)
+        monkeypatch.setattr(splitrad.stats, name,
+                            lambda *args: calls.append(name) or real(*args))
+
+    spy("critical_height_global")
+    spy("_superattracting_normalization")
+    with pytest.raises(DomainError, match="m0 \\+ 1 = 5001 is above the chain depth cap of 1000"):
+        theorem_experiment("z^3 + (1/a)*z^2", "a", [5, 7], m0=5000)
+    with pytest.raises(DomainError, match="m0 \\+ 1 = 1001 is above the chain depth cap of 1000"):
+        equidistribution_report(F5, [0, 1], F(1, 2), 1000)
+    assert calls == []
+    assert equidistribution_report(F5, [0, 1], F(1, 2), 999).m0 == 999
+    assert calls == ["_superattracting_normalization"]

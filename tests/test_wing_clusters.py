@@ -3,23 +3,36 @@
 ``_ref_wing_clusters`` keeps the earlier implementation: F_p roots by a
 full scan for p <= 100 000, multiplicities by repeated division, extension
 residues by distinct-degree factorization, and fractional g through the
-squarefree decomposition over Q.  The helpers that did not change
-(preconditions, component counts, the close-pair count) are imported.
+squarefree decomposition over Q, with the close pairs of ramified roots
+counted on the difference polynomial.  The helpers that did not change
+(preconditions, component counts) are imported.
 """
 
+import json
+import math
+import os
 import random
+import re
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitrad.berkovich import (WingCluster, WingClusters, _check_chain_preconditions,
-                                _close_big_pairs, _count_components, _mod_reduce,
+                                _count_components, _mod_reduce, _side_roots_apart,
                                 wing_clusters)
-from splitrad.dynamics import Poly, parse_poly
+from splitrad.dynamics import Poly, candidate_bad_primes, parse_poly
 from splitrad.exact import UndeterminedError, valuation
 from splitrad.localheights import newton_polygon
 from splitrad.qpoly import QPoly
+from splitrad.stats import _superattracting_normalization
+from test_power_sums import reference_difference_poly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +203,23 @@ def _size(r, p):
     return F(-valuation(r, p))
 
 
+def _close_big_pairs(fq, p, g, small_count):
+    """Number of ordered pairs of roots at distance < p^g beyond the small block.
+
+    Reads the multiset of pairwise root differences off the difference
+    polynomial; differences within the small block account for
+    small_count*(small_count-1) of the sub-p^g entries, the rest are
+    uncertifiable proximities among the outer roots.
+    """
+    cs = list(reference_difference_poly(fq).coeffs)
+    ord0 = next(i for i, c in enumerate(cs) if c)  # the i = j pairs and coincident roots
+    reduced = QPoly(cs[ord0:])
+    below = ord0 - fq.degree()
+    if reduced.degree() >= 1:
+        below += newton_polygon(reduced, p).roots_with_size_less(g)
+    return max(0, below - small_count * (small_count - 1))
+
+
 def _ref_wing_clusters(f, p):
     g = _check_chain_preconditions(f, p)
     d = f.degree
@@ -356,3 +386,152 @@ def test_wing_clusters_pinned(text, p, expect):
 def test_wing_clusters_repeated_ramified_roots_undetermined():
     with pytest.raises(UndeterminedError, match="ramified wing roots"):
         wing_clusters(parse_poly("z^2*(z^2 - 1/5)^2"), 5)
+
+
+# ---------------------------------------------------------------------------
+# the residual-polynomial criterion against the close-pair count
+# ---------------------------------------------------------------------------
+
+@st.composite
+def ramified_maps(draw):
+    """z^m (z - a)^s O(z), m in {2, 3}, s in {0, 1}, |a| <= 4 an integer, and O monic
+    with every root of size p^(u/e), e >= 2.
+
+    O = sum_j (r_j + p t_j) p^(-(k-j)u) z^(je), plus at most one term strictly
+    above the slope-u/e side, so its residual polynomial is R = sum_j r_j y^j
+    over F_p.  Each draw takes p | e, a repeated root of R, R squarefree of
+    degree >= 2, or any R.
+    """
+    kind = draw(st.sampled_from(["p_divides_e", "repeated", "squarefree", "any"]))
+    if kind == "p_divides_e":
+        p = draw(st.sampled_from([2, 3, 5]))
+        e = p * draw(st.integers(1, 2 if p < 5 else 1))
+    else:
+        p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        e = draw(st.integers(2, 4))
+    u = draw(st.sampled_from([u for u in (1, 2, 3) if math.gcd(u, e) == 1]))
+    residue = st.integers(1, p - 1)
+    if kind == "repeated":
+        a = draw(residue)
+        r = [a * a % p, -2 * a % p, 1]
+    elif kind == "squarefree" and p == 2:
+        r = [1, 1, 1]  # y^2 + y + 1, irreducible over F_2
+    elif kind == "squarefree":
+        a = draw(residue)
+        b = draw(residue.filter(lambda b: b != a))
+        r = [a * b % p, -(a + b) % p, 1]
+    else:
+        r = draw(st.lists(st.integers(0, p - 1), min_size=0, max_size=8 // e - 1))
+        r = [draw(residue)] + r + [1]
+    k = len(r) - 1
+    cs = [F(0)] * (k * e + 1)
+    for j, rj in enumerate(r):
+        lift = rj + p * draw(st.integers(-2, 2)) if j < k else 1
+        cs[j * e] = lift * F(p) ** (-(k - j) * u)
+    if draw(st.booleans()):  # one term strictly above the side
+        i = draw(st.integers(1, k * e - 1))
+        cs[i] += draw(st.integers(1, 9)) * F(p) ** (math.floor(F(i * u, e) - k * u) + 1)
+    small = QPoly([0, 0, 1]) * QPoly([-draw(st.integers(-4, 4)), 1]) ** draw(st.integers(0, 1))
+    f = QPoly(cs) * small
+    if f.degree() % p == 0:
+        f = f * QPoly([0, 1])
+    return Poly(list(f.coeffs)), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(ramified_maps())
+@example((parse_poly("z^16 + (1/11)*z^5 + (1/11)*z^2"), 11))  # e = 11 = p: gives up
+@example((parse_poly("z^2*(z^2 - 1/5)^2"), 5))  # R = (y - 1)^2 over F_5: gives up
+@example((parse_poly("z^17 + (1/11)*z^5 + (1/11)*z^2"), 11))  # e = 12: 13 clusters
+def test_side_roots_apart_matches_the_close_pair_count(fp):
+    f, p = fp
+    g = _check_chain_preconditions(f, p)
+    fq = f.as_qpoly()
+    npf = newton_polygon(fq, p)
+    i0, i1 = npf.roots_with_size_less(g), npf.roots_with_size_at_most(g)
+    assert g.denominator > 1 and i1 - i0 >= 2
+    assert _side_roots_apart(fq.coeffs[i0:i1 + 1], p, g) == (_close_big_pairs(fq, p, g, i0) == 0)
+
+
+# ---------------------------------------------------------------------------
+# budgets: the degree-d^2 difference polynomial took 5.6 s at degree 32 and
+# ran past 60 s at degree 64; the timeouts end such a run early
+# ---------------------------------------------------------------------------
+
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+DEGREE_32 = """
+import time
+from splitrad.berkovich import wing_clusters
+from splitrad.dynamics import parse_poly
+f = parse_poly("z^32 + (1/11)*z^5 + (1/11)*z^2")
+start = time.perf_counter()
+w = wing_clusters(f, 11)
+print(time.perf_counter() - start, len(w.clusters))
+"""
+
+
+def test_wings_at_degree_64_exits_0_within_2_s_as_a_fresh_process():
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "splitrad.cli", "wings", "--poly",
+                           "z^64 + (1/11)*z^5 + (1/11)*z^2", "--place", "11"],
+                          env=ENV, capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["clusters"]) == 60
+    assert elapsed < 2.0, elapsed
+
+
+def test_wing_clusters_at_degree_32_within_1_s():
+    proc = subprocess.run([sys.executable, "-c", DEGREE_32], env=ENV, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    elapsed, n_clusters = proc.stdout.split()
+    assert int(n_clusters) == 28
+    assert float(elapsed) < 1.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# full replay: every pool map at every candidate bad place, and random maps
+# ---------------------------------------------------------------------------
+
+def _pool_maps():
+    """(label, text) of the wings, equidistribution and experiment maps of
+    bench/ref/cli_mix.json and the quintic maps of bench/ref/family_scan.json."""
+    def arg(argv, name, default=None):
+        return argv[argv.index(name) + 1] if name in argv else default
+
+    def family(text, param, value):
+        return re.sub(rf"\b{re.escape(param)}\b", f"({value})", text)
+
+    out = []
+    kinds = json.loads((ROOT / "bench/ref/cli_mix.json").read_text(encoding="utf-8"))["kinds"]
+    for kind in ("wings", "equidistribution", "equidistribution-5a", "experiment"):
+        for idx, entry in enumerate(kinds[kind]):
+            argv = entry["args"]["argv"]
+            if kind == "experiment":
+                texts = [family(arg(argv, "--family"), arg(argv, "--param", "a"), v)
+                         for v in arg(argv, "--values").split(",")]
+            else:
+                texts = [arg(argv, "--poly")]
+            out += [(f"cli_mix-{kind}-{idx}", text) for text in texts]
+    quintic = json.loads((ROOT / "bench/ref/family_scan.json").read_text(encoding="utf-8"))
+    for idx, entry in enumerate(quintic["kinds"]["quintic"]):
+        args = entry["args"]
+        out.append((f"family_scan-quintic-{idx}", family(args["family"], "a", args["value"])))
+    return out
+
+
+@pytest.mark.full_pools
+@pytest.mark.parametrize("label, text", _pool_maps())
+def test_wing_clusters_match_reference_on_pool_maps(label, text):
+    f, _, _ = _superattracting_normalization(parse_poly(text))
+    for p in candidate_bad_primes(f):
+        assert _outcome(wing_clusters, f, p) == _outcome(_ref_wing_clusters, f, p), (text, p)
+
+
+@pytest.mark.full_pools
+@settings(max_examples=1500, deadline=None)
+@given(maps())
+def test_wing_clusters_match_reference_on_many_maps(fp):
+    f, p = fp
+    assert _outcome(wing_clusters, f, p) == _outcome(_ref_wing_clusters, f, p)
