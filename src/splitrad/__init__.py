@@ -17,17 +17,17 @@ from .qpoly import QPoly, RatFunc, irreducible_factors
 from .places import (FIELD_Q, FIELD_QT, Place, ProjectivePoint, local_abs_log,
                      naive_height, places_below, product_formula_check,
                      radical, support)
-from .dynamics import (ParseError, Poly, PreperiodicPoint,
+from .dynamics import (NewtonPolygon, ParseError, Poly, PreperiodicPoint,
                        candidate_bad_primes, center, conjugate,
                        critical_points, escape_exponent,
-                       in_superattracting_family, iterate, parse_ground,
-                       parse_poly, preperiodic_points, print_poly,
-                       superattracting_cycles)
-from .localheights import (LocalProfile, NewtonPolygon, analyze,
+                       in_superattracting_family, iterate, newton_polygon,
+                       parse_ground, parse_poly, preperiodic_points,
+                       print_poly, superattracting_cycles)
+from .localheights import (LocalProfile, analyze,
                            canonical_height, critical_height_global,
                            critical_height_local, escape_rate_arch,
-                           escape_rate_nonarch, newton_polygon,
-                           splitting_exponent, splitting_radius)
+                           escape_rate_nonarch, splitting_exponent,
+                           splitting_radius)
 
 __version__ = "0.1.0"
 

@@ -4,9 +4,10 @@ Everything lives in log_p units: a disk about a rational center is a
 rational exponent t (radius p^t), so Type II membership is "denominator 1"
 and the denominators q_i of the descending chain radii are literal
 Fraction denominators.  The inner chain solves the Gauss-norm equation
-sup_{|z|=p^t} |f(z)|_p = p^{max_i(i t - v_p(a_i))} exactly; wing clusters
-are resolved one residue digit deep, which is exactly the resolution the
-cluster relation (distance < splitting radius) requires.
+sup_{|z|=p^t} |f(z)|_p = p^{max_i(i t - v_p(a_i))} exactly on the vertices
+of the Newton polygon (NewtonPolygon.solve); wing clusters are resolved
+one residue digit deep, which is exactly the resolution the cluster
+relation (distance < splitting radius) requires.
 
 Three facts keep the wing clusters to one assembly.  The Newton polygon of
 f counts the roots below and at size p^g.  For fractional g = u/e the roots
@@ -24,10 +25,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .exact import DomainError, Frozen, LogValue, UndeterminedError, Value, is_prime, valuation
-from .dynamics import Poly
-from .localheights import newton_polygon, splitting_exponent
+from .dynamics import Poly, newton_polygon
+from .localheights import splitting_exponent
 from .places import FIELD_Q, Place
-from .qpoly import _fp_roots, _fp_squarefree, poly_derivative, poly_gcd, poly_trim
+from .qpoly import _fp_roots, _fp_squarefree, _mod_reduce, poly_derivative, poly_gcd, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +79,6 @@ def _check_chain_preconditions(f: Poly, p: int) -> Fraction:
     return g
 
 
-def _gauss_solve(coeffs, p: int, target: Fraction) -> Fraction:
-    """Largest t with max_{i>=1}(i t - v_p(a_i)) <= target (exact piecewise-linear solve).
-
-    coeffs are a_0, a_1, ...; a_0 does not enter, and some a_i with i >= 1 is nonzero.
-    """
-    return min((target + valuation(c, p)) / i for i, c in enumerate(coeffs) if i and c)
-
-
 # Deepest chain inner_disk_chain builds.  The exact radii grow with the level,
 # so a chain's printed size grows with the square of its depth: `disk-chain`
 # on z^3 + z^2/5 at 5 prints 1.0 MB in 0.21 s at depth 1000 and 15.9 MB in
@@ -108,7 +101,7 @@ def inner_disk_chain(f: Poly, p: int, depth: int) -> DiskChain:
     ts: list[Fraction] = []
     target = g
     for _ in range(depth + 1):
-        t = _gauss_solve(f.coeffs, p, target)
+        t = npf.solve(target)
         ts.append(t)
         target = t
     levels = []
@@ -213,8 +206,8 @@ def _count_components(f: Poly, p: int, g: Fraction,
                       members: list[tuple[Fraction, int]]) -> int:
     fq = f.as_qpoly()
     # log_p radius of the level-1 component around each root: the Gauss-norm
-    # solve on the Taylor coefficients of f at the root
-    radii = [_gauss_solve(fq.shift(r).coeffs, p, g) for r, _ in members]
+    # solve on the Taylor coefficients of f at the root, whose constant term f(r) is 0
+    radii = [newton_polygon(fq.shift(r), p).solve(g) for r, _ in members]
     n = len(members)
     parent = list(range(n))
 
@@ -233,12 +226,6 @@ def _count_components(f: Poly, p: int, g: Fraction,
                 if pi != pj:
                     parent[pi] = pj
     return len({find(i) for i in range(n)})
-
-
-def _mod_reduce(x: Fraction, p: int) -> int:
-    if valuation(x, p) < 0:
-        raise ValueError("not p-integral")
-    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _side_roots_apart(side: tuple[Fraction, ...], p: int, g: Fraction) -> bool:
@@ -294,12 +281,14 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
     big_members = [(r, m) for r, m in rational if r != 0 and Fraction(-valuation(r, p)) == g]
     residues: list[tuple[int, int]] = []  # (F_p residue of p^g * root, count)
     outer: list[int] = []                 # counts of the centre-less clusters
+    npf = newton_polygon(f, p)
 
     if g.denominator == 1:
         # one digit of precision: substitute w = p^g z (so the outermost roots
-        # become units), reduce mod p, and read residues
+        # become units), divide by the Gauss norm at |z| = p^g, reduce mod p,
+        # and read residues
         scaled = [f[j] * Fraction(p) ** (-int(g) * j) for j in range(d + 1)]
-        vmin = min(valuation(c, p) for c in scaled if c != 0)
+        vmin = -npf.gauss(g)  # min_j v_p(scaled_j)
         hbar = poly_trim([_mod_reduce(c / Fraction(p) ** vmin, p) for c in scaled])
         if len(hbar) - 1 != d:
             raise UndeterminedError("scaled reduction degenerated; root outside splitting disk")
@@ -310,7 +299,6 @@ def wing_clusters(f: Poly, p: int) -> WingClusters:
             outer.extend([mult] * (len(piece) - 1 - len(roots)))
         residues.sort()
     else:
-        npf = newton_polygon(fq, p)
         small_count = npf.roots_with_size_less(g)
         outer = [1] * sum(length for slope, length in npf.segments if slope == g)
         if not _side_roots_apart(fq.coeffs[small_count:small_count + len(outer) + 1], p, g):

@@ -1,8 +1,9 @@
 """Polynomials as dynamical systems over Q or Q(t).
 
 Parsing/printing, exact iteration, affine conjugation and centering,
-critical points, superattracting cycle search, and the exhaustive search
-for Q-rational preperiodic points with a rigorous finite search box.
+critical points, superattracting cycle search, Newton polygons, and the
+exhaustive search for Q-rational preperiodic points with a rigorous finite
+search box.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class Poly(Slotted):
     """Dense polynomial a_0..a_d over the ground field, a_d != 0, d >= 2.
 
     A Poly is never changed after construction, so what is derived from it
-    alone (critical points, centre, bad primes) is computed once and kept in
-    _memo, which equality, hashing, repr and pickling ignore.
+    alone (critical points, centre, bad primes, the Newton polygon at each
+    prime, the QPoly form) is computed once and kept in _memo, which
+    equality, hashing, repr and pickling ignore.
     """
 
     __slots__ = ("coeffs", "field", "_memo")
@@ -81,12 +83,12 @@ class Poly(Slotted):
     def as_qpoly(self) -> QPoly:
         if self.field != FIELD_Q:
             raise DomainError("as_qpoly only over Q")
-        return QPoly(self.coeffs)
+        return self._once("as_qpoly", lambda: QPoly(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Poly({print_poly(self)!r})"
 
-    def _once(self, key: str, compute):
+    def _once(self, key, compute):
         """compute(), kept under key for the life of this Poly; a raise keeps nothing."""
         memo = getattr(self, "_memo", None)
         if memo is None:
@@ -471,17 +473,84 @@ class PreperiodicPoint(Frozen):
         return self._astuple() < other._astuple() if type(other) is type(self) else NotImplemented
 
 
-def escape_exponent(f: Poly, p: int) -> Fraction:
-    """log_p theta_p: beyond radius p^s, |f(z)|_p = |a_d|_p |z|_p^d exactly."""
+# ---------------------------------------------------------------------------
+# Newton polygons (over Q)
+# ---------------------------------------------------------------------------
+
+class NewtonPolygon(Frozen):
+    """Lower convex hull of (i, v_p(a_i)); slope s carries roots of size p^s.
+
+    Its dual is the Gauss norm, sup_{|z|_p = p^t} |f(z)|_p = p^gauss(t): a linear
+    functional on the points reaches its maximum at a hull vertex.
+    """
+
+    vertices: tuple[tuple[int, Fraction], ...]
+    segments: tuple[tuple[Fraction, int], ...]  # (slope, length), slopes increasing
+    ord_zero: int                               # roots at 0 (leading zero coefficients)
+    degree: int
+
+    def max_slope(self) -> Fraction | None:
+        """log_p of the largest root size; None when all roots sit at 0."""
+        return self.segments[-1][0] if self.segments else None
+
+    def roots_with_size_at_most(self, t: Fraction) -> int:
+        """Number of roots (with multiplicity) of size <= p^t."""
+        return self.ord_zero + sum(length for slope, length in self.segments if slope <= t)
+
+    def roots_with_size_less(self, t: Fraction) -> int:
+        """Number of roots (with multiplicity) of size strictly below p^t."""
+        return self.ord_zero + sum(length for slope, length in self.segments if slope < t)
+
+    def gauss(self, t: Fraction) -> Fraction:
+        """max_i (i t - v_p(a_i)), the log_p Gauss norm on |z|_p = p^t."""
+        return max(i * t - v for i, v in self.vertices)
+
+    def solve(self, target: Fraction) -> Fraction:
+        """Largest t with max_{i >= 1} (i t - v_p(a_i)) <= target; exact when a_0 = 0."""
+        return min((target + v) / i for i, v in self.vertices if i)
+
+
+def _hull_from_points(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+    hull: list[tuple[int, Fraction]] = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # drop hull[-1] if it lies on or above the segment hull[-2] -> pt
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
+
+
+def newton_polygon(f, p: int) -> NewtonPolygon:
+    """Newton polygon at p of a QPoly, or of a Poly over Q (that of its QPoly, kept per prime)."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    d = f.degree
-    vd = valuation(f.lc, p)
-    s = Fraction(vd, d - 1)
-    for i in range(d):
-        if f[i] != 0:
-            s = max(s, Fraction(vd - valuation(f[i], p), d - i))
-    return s
+    if isinstance(f, Poly):
+        if f.field != FIELD_Q:
+            raise DomainError("Newton polygons are computed over Q")
+        return f._once(("newton_polygon", p), lambda: newton_polygon(f.as_qpoly(), p))
+    coeffs = f.coeffs
+    vals = [(i, Fraction(valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
+    if not vals:
+        raise DomainError("Newton polygon of the zero polynomial")
+    hull = _hull_from_points(vals)
+    segs = tuple(((y2 - y1) / (x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple(hull), segs, vals[0][0], len(coeffs) - 1)
+
+
+def escape_exponent(f: Poly, p: int) -> Fraction:
+    """log_p theta_p: beyond radius p^s, |f(z)|_p = |a_d|_p |z|_p^d exactly.
+
+    s = max(v_d/(d-1), max_{i<d} (v_d - v_i)/(d - i)); the last segment of the
+    Newton polygon is the steepest line from any point to (d, v_d).
+    """
+    npf = newton_polygon(f, p)
+    s = npf.vertices[-1][1] / (f.degree - 1)
+    ms = npf.max_slope()
+    return s if ms is None else max(s, ms)
 
 
 def candidate_bad_primes(f: Poly) -> list[int]:

@@ -1,4 +1,7 @@
-"""Newton polygons, splitting radii, escape rates, critical and canonical heights.
+"""Splitting radii, escape rates, critical and canonical heights.
+
+Each reads the Newton polygon that dynamics keeps per map and prime (and
+re-exported here).
 
 All finite-place escape rates are exact LogValues produced by one of two
 certificates: an escape certificate (once |f^n(z)|_p exceeds the radius
@@ -18,77 +21,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (DomainError, Frozen, LogValue, UndeterminedError, Value, is_prime,
-                    prime_support, valuation)
-from .dynamics import (Poly, _print_coeffs, candidate_bad_primes, center, critical_points,
-                       escape_exponent)
+from .exact import (DomainError, LogValue, UndeterminedError, Value, is_prime, prime_support,
+                    valuation)
+# NewtonPolygon is re-exported: pickles made before it moved to dynamics name it here
+from .dynamics import (NewtonPolygon, Poly, _print_coeffs, candidate_bad_primes, center,
+                       critical_points, escape_exponent, newton_polygon)
 from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
-from .qpoly import (QPoly, poly_add, poly_derivative, poly_divmod, poly_gcd, poly_horner,
-                    poly_powmod, poly_shift)
-
-
-# ---------------------------------------------------------------------------
-# Newton polygons
-# ---------------------------------------------------------------------------
-
-class NewtonPolygon(Frozen):
-    """Lower convex hull of (i, v_p(a_i)); slope s carries roots of size p^s."""
-
-    vertices: tuple[tuple[int, Fraction], ...]
-    segments: tuple[tuple[Fraction, int], ...]  # (slope, length), slopes increasing
-    ord_zero: int                               # roots at 0 (leading zero coefficients)
-    degree: int
-
-    def max_slope(self) -> Fraction | None:
-        """log_p of the largest root size; None when all roots sit at 0."""
-        if not self.segments:
-            return None
-        return self.segments[-1][0]
-
-    def roots_with_size_at_most(self, t: Fraction) -> int:
-        """Number of roots (with multiplicity) of size <= p^t."""
-        n = self.ord_zero
-        for slope, length in self.segments:
-            if slope <= t:
-                n += length
-        return n
-
-    def roots_with_size_less(self, t: Fraction) -> int:
-        """Number of roots (with multiplicity) of size strictly below p^t."""
-        n = self.ord_zero
-        for slope, length in self.segments:
-            if slope < t:
-                n += length
-        return n
-
-
-def _hull_from_points(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
-    hull: list[tuple[int, Fraction]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop hull[-1] if it lies on or above the segment hull[-2] -> pt
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
-def newton_polygon(f, p: int) -> NewtonPolygon:
-    """Newton polygon at p of a Poly over Q or a QPoly."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    coeffs = f.coeffs
-    vals = [(i, Fraction(valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
-    if not vals:
-        raise DomainError("Newton polygon of the zero polynomial")
-    hull = _hull_from_points(vals)
-    segs = tuple(((Fraction(y2) - Fraction(y1)) / (x2 - x1), x2 - x1)
-                 for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
-    return NewtonPolygon(tuple(hull), segs, vals[0][0], len(coeffs) - 1)
+from .qpoly import (QPoly, _mod_reduce, poly_add, poly_derivative, poly_divmod, poly_gcd,
+                    poly_horner, poly_powmod, poly_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +52,8 @@ def splitting_exponent(f: Poly, p: int) -> Fraction:
         raise DomainError(f"{p} is not prime")
     if d % p == 0:
         raise DomainError(f"no splitting verdict at p={p} dividing d={d}")
-    g, _ = center(f)
-    s = None
-    for i in range(d - 1):  # coefficients 0..d-2 of the centered form
-        c = g[i]
-        if c != 0:
-            cand = Fraction(-valuation(c, p), d - i)
-            s = cand if s is None else max(s, cand)
+    # the centered form is monic with no z^(d-1) term: its last slope is max_{i <= d-2} -v_i/(d - i)
+    s = newton_polygon(center(f)[0], p).max_slope()
     return s if s is not None else Fraction(-10 ** 9)  # all inner coefficients vanish: z^d
 
 
@@ -162,6 +98,7 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
         raise DomainError("non-archimedean escape rates run over Q")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    _check_nonnegative("maxiter", maxiter)
     s_esc = escape_exponent(f, p)
     z = Fraction(z)
     d = f.degree
@@ -180,7 +117,7 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
         shifted = fq.shift(cur)
         if _invariant_disk_range(shifted, cur, p) is not None:
             return LogValue.zero()
-        cur = f(cur)
+        cur = shifted[0]  # the Taylor shift's constant term is f(cur)
         if cur.numerator.bit_length() + cur.denominator.bit_length() > 500_000:
             break
     raise UndeterminedError(
@@ -319,17 +256,24 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
     raise UndeterminedError(f"no archimedean certificate within {maxiter} iterations")
 
 
-def _check_arch_args(f: Poly, tol: float) -> None:
+def _check_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+
+
+def _check_arch_args(f: Poly, tol: float, maxiter: int = 0, extra_steps: int = 0) -> None:
     if f.field != FIELD_Q:
         raise DomainError("archimedean escape rates run over Q")
     if not tol > 0:  # also NaN
         raise DomainError("tol must be positive")
+    _check_nonnegative("maxiter", maxiter)
+    _check_nonnegative("extra_steps", extra_steps)
 
 
 def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
                      maxiter: int = 400) -> LogValue:
     """Certified interval of width <= tol around lambda_infinity(z), or exact 0."""
-    _check_arch_args(f, tol)
+    _check_arch_args(f, tol, maxiter, extra_steps)
     z = Fraction(z)
     # exact preperiodicity is certified by Fraction equality
     orbit = [z]
@@ -347,7 +291,7 @@ def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
 def escape_rate_arch_box(f: Poly, box: CBox, tol: float = 1e-9,
                          maxiter: int = 400) -> LogValue:
     """Escape rate over a certified complex enclosure (for irrational critical points)."""
-    _check_arch_args(f, tol)
+    _check_arch_args(f, tol, maxiter)
     return _escape_rate_arch_generic(f, box, tol, 0, maxiter)
 
 
@@ -451,7 +395,7 @@ def _screen_clears(f: Poly) -> bool:
         p += 2
         while not is_prime(p):
             p += 2
-    h = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+    h = [_mod_reduce(c, p) for c in f.coeffs]
     df = poly_derivative(h, p)
     h[1] = (h[1] - 1) % p
     n = _unity_orders(f.degree)[1]
@@ -584,8 +528,7 @@ def _lambda_crit_finite_general(f: Poly, p: int) -> Fraction:
         return best
     # invariant disk about 0 traps every root of size <= t_hi
     inv = _invariant_disk_range(f.as_qpoly(), Fraction(0), p)
-    b_exp = max(Fraction(i) * s_esc - valuation(f[i], p)
-                for i in range(d + 1) if f[i] != 0)
+    b_exp = newton_polygon(f, p).gauss(s_esc)
     lam_bar = max(Fraction(0), b_exp + c_p)
     h = residual.monic()
     for n in range(_PUSHFORWARD_DEPTH + 1):

@@ -5,8 +5,9 @@ routines over coefficient lists, lowest degree first: poly_trim, poly_add,
 poly_mul, poly_divmod, poly_monic, poly_gcd (monic), poly_derivative,
 poly_powmod (modulo a polynomial), poly_horner, poly_shift (Taylor shift),
 and poly_power_sums and poly_from_power_sums (Newton's identities, which
-build the polynomial of the images of roots); _fp_squarefree and _fp_roots
-give the squarefree pieces and the roots over F_p.  An optional prime
+build the polynomial of the images of roots); _mod_reduce sends a
+p-integral rational to F_p, and _fp_squarefree and _fp_roots give the
+squarefree pieces and the roots over F_p.  An optional prime
 modulus p makes the routines that take it work over F_p on integer lists;
 without it they work over Q on Fractions, and add, mul, Horner and shift
 work over any ring whose elements mix with their argument (int, Fraction,
@@ -153,6 +154,13 @@ def poly_from_power_sums(ps) -> list:
             acc += c[n - i] * ps[k - i]
         c[n - k] = -acc / k
     return c
+
+
+def _mod_reduce(x: Fraction, p: int) -> int:
+    """The residue in F_p of a p-integral rational x."""
+    if x.denominator % p == 0:
+        raise ValueError("not p-integral")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _fp_squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, Value, as_json,
                     prime_support, valuation)
-from .dynamics import (Poly, candidate_bad_primes, conjugate, parse_poly,
+from .dynamics import (Poly, candidate_bad_primes, conjugate, newton_polygon, parse_poly,
                        preperiodic_points, superattracting_cycles)
 from .intervals import Interval, Slotted
 from .localheights import critical_height_global, critical_height_local, splitting_exponent
@@ -174,8 +174,8 @@ class EpsilonGoodResult(Value):
 
 def _place_is_good(f: Poly, q: int) -> bool:
     """Good-reduction certificate at a prime q > d (never called inside S_d)."""
-    integral = all(valuation(c, q) >= 0 for c in f.coeffs if c != 0)
-    if integral and valuation(f.lc, q) == 0:
+    npf = newton_polygon(f, q)
+    if npf.gauss(0) <= 0 and npf.vertices[-1][1] == 0:  # q-integral, unit leading coefficient
         return True
     if f.is_monic() and f.degree % q != 0:
         return splitting_exponent(f, q) <= 0

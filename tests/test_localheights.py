@@ -484,6 +484,32 @@ def test_undetermined_surfaces_with_tiny_cap():
         escape_rate_nonarch(F5, 5, 1, maxiter=1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: escape_rate_nonarch(F5, 5, F(1, 3), maxiter=-1),
+    lambda: escape_rate_arch(F5, F(1, 3), maxiter=-1),
+    lambda: escape_rate_arch(F5, F(1, 3), extra_steps=-5),
+    lambda: escape_rate_arch_box(F5, CBox.point(0.5 + 0.1j), maxiter=-1),
+    lambda: canonical_height(F5, F(1, 3), nonarch_maxiter=-1),
+    lambda: canonical_height(F5, F(1, 3), arch_maxiter=-1),
+])
+def test_negative_iteration_caps_raise(call):
+    with pytest.raises(DomainError, match="must be >= 0, got -"):
+        call()
+
+
+def test_zero_iteration_caps_stay_valid():
+    with pytest.raises(UndeterminedError, match="within 0 iterations"):
+        escape_rate_nonarch(F5, 5, 1, maxiter=0)
+    with pytest.raises(UndeterminedError, match="within 0 iterations"):
+        escape_rate_arch_box(F5, CBox.point(0.5 + 0.1j), maxiter=0)
+    assert escape_rate_arch(F5, F(1, 3), extra_steps=0, maxiter=0).is_exactly_zero()
+
+
+def test_as_qpoly_is_kept():
+    f = parse_poly("z^3 + (1/5)*z^2")
+    assert f.as_qpoly() is f.as_qpoly() == QPoly(f.coeffs)
+
+
 def test_escape_exponent_values():
     assert escape_exponent(F5, 5) == F(1)
     assert escape_exponent(F5, 3) == F(0)

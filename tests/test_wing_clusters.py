@@ -23,12 +23,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from splitrad.berkovich import (WingCluster, WingClusters, _check_chain_preconditions,
-                                _count_components, _mod_reduce, _side_roots_apart,
-                                wing_clusters)
-from splitrad.dynamics import Poly, candidate_bad_primes, parse_poly
+                                _count_components, _side_roots_apart, wing_clusters)
+from splitrad.dynamics import Poly, candidate_bad_primes, newton_polygon, parse_poly
 from splitrad.exact import UndeterminedError, valuation
-from splitrad.localheights import newton_polygon
-from splitrad.qpoly import QPoly
+from splitrad.qpoly import QPoly, _mod_reduce
 from splitrad.stats import _superattracting_normalization
 from test_power_sums import reference_difference_poly
 
