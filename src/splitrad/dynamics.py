@@ -42,7 +42,7 @@ class Poly(Slotted):
 
     A Poly is never changed after construction, so what is derived from it
     alone (critical points, centre, bad primes, the Newton polygon at each
-    prime, the QPoly form) is computed once and kept in _memo, which
+    bad prime, the QPoly form) is computed once and kept in _memo, which
     equality, hashing, repr and pickling ignore.
     """
 
@@ -426,7 +426,8 @@ def superattracting_cycles(f: Poly, m_max: int) -> list[tuple[tuple[Fraction, ..
         raise DomainError("m_max >= 1 required")
     if f.field != FIELD_Q:
         raise DomainError("cycle search runs over Q")
-    roots, _ = critical_points(f)
+    # the rational roots of f', as in critical_points, without factoring what is left of f'
+    roots = f.derivative_qpoly().rational_roots()
     seen: set[tuple[Fraction, ...]] = set()
     out = []
     for c, _mult in roots:
@@ -525,12 +526,19 @@ def _hull_from_points(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fra
 
 
 def newton_polygon(f, p: int) -> NewtonPolygon:
-    """Newton polygon at p of a QPoly, or of a Poly over Q (that of its QPoly, kept per prime)."""
+    """Newton polygon at p of a QPoly, or of a Poly over Q (that of its QPoly).
+
+    A Poly keeps its polygon at each of its candidate bad primes, a finite set;
+    at any other prime the polygon is computed per call, so a map asked about
+    the primes of many point denominators does not grow its memo.
+    """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if isinstance(f, Poly):
         if f.field != FIELD_Q:
             raise DomainError("Newton polygons are computed over Q")
+        if not _is_candidate_bad(f, p):  # a good prime: one per point denominator, not kept
+            return newton_polygon(f.as_qpoly(), p)
         return f._once(("newton_polygon", p), lambda: newton_polygon(f.as_qpoly(), p))
     coeffs = f.coeffs
     vals = [(i, Fraction(valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
@@ -569,6 +577,11 @@ def candidate_bad_primes(f: Poly) -> list[int]:
         return tuple(sorted({*primes, *(q for q in range(2, f.degree + 1) if is_prime(q))}))
 
     return list(f._once("candidate_bad_primes", compute))
+
+
+def _is_candidate_bad(f: Poly, p: int) -> bool:
+    """Whether the prime p is in candidate_bad_primes(f), without factoring anything."""
+    return p <= f.degree or f.lc.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs)
 
 
 def _search_box(f: Poly):

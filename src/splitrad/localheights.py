@@ -24,8 +24,9 @@ from functools import lru_cache
 from .exact import (DomainError, LogValue, UndeterminedError, Value, is_prime, prime_support,
                     valuation)
 # NewtonPolygon is re-exported: pickles made before it moved to dynamics name it here
-from .dynamics import (NewtonPolygon, Poly, _print_coeffs, candidate_bad_primes, center,
-                       critical_points, escape_exponent, newton_polygon)
+from .dynamics import (NewtonPolygon, Poly, _is_candidate_bad, _print_coeffs,
+                       candidate_bad_primes, center, critical_points, escape_exponent,
+                       newton_polygon, superattracting_cycles)
 from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
 from .qpoly import (QPoly, _mod_reduce, poly_add, poly_derivative, poly_divmod, poly_gcd,
@@ -147,6 +148,126 @@ def _arch_threshold(f: Poly) -> tuple[float, float]:
     return math.nextafter(th, math.inf), ratio_hi
 
 
+# Cycles of period m > 1 get basin disks only while f^m has degree d^m <= this
+# cap, so that composing and Taylor-shifting f^m stays cheap; fixed points always do.
+_BASIN_MAX_DEGREE = 64
+# A basin radius is a power of 2 no larger than 2^_BASIN_MAX_EXP.
+_BASIN_MAX_EXP = 64
+
+
+def _basin_disks(f: Poly) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Exact disks (alpha, r), one about each point of each rational superattracting cycle.
+
+    The cycles are those of superattracting_cycles of period m = 1, or m > 1
+    with d^m <= _BASIN_MAX_DEGREE.  Let b_i be the Taylor coefficients of
+    F = f^m at a point alpha of the cycle: b_0 = F(alpha) = alpha since alpha
+    has period m, and b_1 = (f^m)'(alpha), the product of f' over the cycle,
+    is 0 since the cycle holds a critical point.  r is the largest power of 2,
+    at most 2^_BASIN_MAX_EXP, with sum_{i >= 2} |b_i| r^(i-1) <= 1/2, checked
+    exactly.  Then for |w| <= r,
+
+        |F(alpha + w) - alpha| <= sum_{i >= 2} |b_i| |w|^i <= |w|/2,
+
+    so F maps the closed disk D(alpha, r) into D(alpha, r/2).  An orbit of f
+    that meets D(alpha, r) comes back to it every m steps and lies in the
+    images f^j(D), j < m, in between, so it is bounded and its escape rate is
+    exactly 0.  Computed once per Poly.
+    """
+    def compute():
+        d, m_max = f.degree, 1
+        while d ** (m_max + 1) <= _BASIN_MAX_DEGREE:
+            m_max += 1
+        fq = f.as_qpoly()
+        disks = []
+        for cycle, m in superattracting_cycles(f, m_max):
+            F = fq
+            for _ in range(m - 1):
+                F = F.eval(fq)
+            disks += [(alpha, _contraction_radius(F.shift(alpha).coeffs)) for alpha in cycle]
+        return tuple(disks)
+
+    return f._once("basin_disks", compute)
+
+
+def _contraction_radius(b) -> Fraction:
+    """Largest r = 2^e, e <= _BASIN_MAX_EXP, with sum_{i >= 2} |b_i| r^(i-1) <= 1/2."""
+    terms = [(i - 1, abs(c)) for i, c in enumerate(b) if i >= 2 and c]
+
+    def fits(e: int) -> bool:
+        r = Fraction(2) ** e
+        return sum(c * r ** k for k, c in terms) <= Fraction(1, 2)
+
+    # a float guess that keeps each term below 1/(2 len(terms)); the exact steps settle it
+    e = min(_BASIN_MAX_EXP, *(
+        math.floor((-1 - math.log2(len(terms)) - math.log2(c.numerator)
+                    + math.log2(c.denominator)) / k) for k, c in terms))
+    while not fits(e):
+        e -= 1
+    while e < _BASIN_MAX_EXP and fits(e + 1):
+        e += 1
+    return Fraction(2) ** e
+
+
+def _basin_tests(f: Poly) -> tuple[tuple, tuple]:
+    """(screens, basins) for the disks of _basin_disks(f), computed once per Poly.
+
+    screens is () or (k, disks) for _in_basin: every disk lies in |z| < 2^k, and
+    disks holds (alpha, r, float(alpha), float(r)), leaving out an alpha beyond
+    the float range.  basins holds (A, r_lo) for _encloses_in_basin, with A the
+    enclosure of alpha and r_lo the lower end of r's.
+    """
+    def compute():
+        disks = _basin_disks(f)
+        screens = []
+        for alpha, r in disks:
+            try:
+                screens.append((alpha, r, float(alpha), float(r)))
+            except OverflowError:
+                pass
+        if screens:
+            reach = max(abs(a) + rf for _, _, a, rf in screens)
+            screens = (math.frexp(reach)[1] + 1, tuple(screens))
+        return tuple(screens), tuple((Interval.from_fraction(alpha), Interval.from_fraction(r).lo)
+                                     for alpha, r in disks)
+
+    return f._once("basin_tests", compute)
+
+
+def _in_basin(screens, z: Fraction) -> bool:
+    """Whether z lies in a basin disk of screens (see _basin_tests).
+
+    Two float tests that can only pass more often than |z - alpha| <= r come
+    first: the bit lengths of z's numerator and denominator, then the float
+    distance.  The exact test decides.
+    """
+    if not screens:
+        return False
+    k, disks = screens
+    n, d = z.numerator, z.denominator
+    if n.bit_length() - d.bit_length() > k:  # |z| > 2^k
+        return False
+    try:
+        x = n / d
+    except OverflowError:
+        return False
+    for alpha, r, a, rf in disks:
+        if abs(x - a) <= rf + 1e-15 * (abs(x) + abs(a)) + 1e-300 and abs(z - alpha) <= r:
+            return True
+    return False
+
+
+def _encloses_in_basin(basins, Z) -> bool:
+    """Whether the Interval or CBox Z lies in a basin disk; basins holds (A, r_lo).
+
+    A encloses alpha and r_lo <= r, so every z in Z has |z - alpha| <= r.
+    """
+    for A, r_lo in basins:
+        W = Z - A if isinstance(Z, Interval) else CBox(Z.re - A, Z.im)
+        if W.modulus().hi <= r_lo:
+            return True
+    return False
+
+
 def _point_orbit(coeffs, P, n: int) -> list:
     """Enclosures of f(P), ..., f^n(P), cut before the first unbounded or unformable one."""
     orbit = []
@@ -209,6 +330,7 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
     log_ad = Interval.log_of_fraction(abs(f.lc))
     overflow_guard = 10.0 ** (250 // d)
     coeffs = [value.enclose(c) for c in f.coeffs]  # once per call, not per evaluation
+    basins = _basin_tests(f)[1]
 
     def candidate(U: Interval, n: int, eps: float) -> Interval:
         """lambda from U containing log|f^n(z)|, with eps >= sum|a_i|/(|a_d||f^n(z)|)."""
@@ -244,7 +366,7 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
                     return LogValue.from_interval(lam)
                 raise UndeterminedError(
                     f"archimedean enclosure plateaued at width {lam.width:.3g} > tol {tol:.3g}")
-        elif _try_invariant(coeffs, Z) is not None:
+        elif _encloses_in_basin(basins, Z) or _try_invariant(coeffs, Z) is not None:
             return LogValue.zero()
         Z = horner_centered(coeffs, Z)
         w, scale = Z.span, max(1.0, Z.modulus().lo)
@@ -272,14 +394,20 @@ def _check_arch_args(f: Poly, tol: float, maxiter: int = 0, extra_steps: int = 0
 
 def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
                      maxiter: int = 400) -> LogValue:
-    """Certified interval of width <= tol around lambda_infinity(z), or exact 0."""
+    """Certified interval of width <= tol around lambda_infinity(z), or exact 0.
+
+    Exact 0 comes from the first 24 steps of the Fraction orbit: it repeats
+    (Fraction equality), or a point of it lies in a basin disk (_basin_disks).
+    """
     _check_arch_args(f, tol, maxiter, extra_steps)
     z = Fraction(z)
-    # exact preperiodicity is certified by Fraction equality
+    screens = _basin_tests(f)[0]
+    if _in_basin(screens, z):
+        return LogValue.zero()
     orbit = [z]
     for _ in range(24):
         nxt = f(orbit[-1])
-        if nxt in orbit:
+        if nxt in orbit or _in_basin(screens, nxt):
             return LogValue.zero()
         if nxt.numerator.bit_length() + nxt.denominator.bit_length() > 2000:
             break
@@ -391,7 +519,7 @@ def _screen_clears(f: Poly) -> bool:
     many primes divide those numbers, so there always is one.
     """
     p = _SCREEN_START
-    while f.lc.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs):
+    while _is_candidate_bad(f, p):  # p > d: p divides lc(f)'s numerator or a denominator
         p += 2
         while not is_prime(p):
             p += 2
@@ -509,6 +637,9 @@ def _pushforward(h: QPoly, f: Poly) -> QPoly:
 
 
 _PUSHFORWARD_DEPTH = 8  # pushforwards of the irrational critical points at a finite place
+# Cap on deg h times the largest coefficient bit length of h before a pushforward of h:
+# the Fraction arithmetic of _pushforward grows with both.
+_PUSHFORWARD_BITS = 2 ** 16
 
 
 def _lambda_crit_finite_general(f: Poly, p: int) -> Fraction:
@@ -532,12 +663,19 @@ def _lambda_crit_finite_general(f: Poly, p: int) -> Fraction:
     lam_bar = max(Fraction(0), b_exp + c_p)
     h = residual.monic()
     for n in range(_PUSHFORWARD_DEPTH + 1):
-        np_h = newton_polygon(h, p)
-        m_slope = np_h.max_slope()
+        m_slope = newton_polygon(h, p).max_slope()
         if inv is not None and (m_slope is None or m_slope <= inv[1]):
             return best  # every residual image fits in an invariant disk about 0
         if m_slope is not None and m_slope > s_esc and m_slope + c_p >= lam_bar:
             return max(best, (m_slope + c_p) / d ** n)
+        if n == _PUSHFORWARD_DEPTH:
+            break
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in h.coeffs)
+        if h.degree() * bits > _PUSHFORWARD_BITS:
+            raise UndeterminedError(
+                f"critical height at p={p} undetermined: pushforward {n + 1} would take a "
+                f"degree-{h.degree()} polynomial with {bits}-bit coefficients, "
+                f"{h.degree()} x {bits} above _PUSHFORWARD_BITS = {_PUSHFORWARD_BITS}")
         h = _pushforward(h, f)
     raise UndeterminedError(
         f"critical height at p={p} undetermined within pushforward depth {_PUSHFORWARD_DEPTH}")

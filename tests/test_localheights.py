@@ -1,13 +1,18 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import splitrad.localheights as lh
 from splitrad.berkovich import hsia_energy, inner_disk_chain, wing_clusters
 from splitrad.dynamics import (Poly, _print_coeffs, conjugate, critical_points, parse_poly,
                                preperiodic_points)
@@ -527,3 +532,43 @@ def test_entry_points_that_take_p_prove_it_prime(p):
     for call in calls:
         with pytest.raises(DomainError, match="prime"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# pushforward depth and size budgets
+# ---------------------------------------------------------------------------
+
+def test_no_pushforward_past_the_depth_cap():
+    # the pushforward_depth pool map: the depth-8 polygon is read, and no ninth h is built
+    f = parse_poly("z^3 - (3/2)*z + (1/3)")
+    with mock.patch.object(lh, "_pushforward", side_effect=lh._pushforward) as spy:
+        with pytest.raises(UndeterminedError, match="within pushforward depth 8"):
+            critical_height_local(f, Place.finite(2))
+    assert spy.call_count == lh._PUSHFORWARD_DEPTH
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the coefficients of h grow about fivefold per pushforward here: the sixth took
+# many seconds, the seventh ran past 15 s before the size cap
+BIG_PUSHFORWARD = """
+import time
+from splitrad import Place, critical_height_local, parse_poly
+from splitrad.exact import UndeterminedError
+f = parse_poly("z^5 - (4/7)*z^4 + (17/4)*z")
+start = time.perf_counter()
+try:
+    critical_height_local(f, Place.finite(2))
+except UndeterminedError as e:
+    print(time.perf_counter() - start, e)
+"""
+
+
+@pytest.mark.budget
+def test_pushforward_size_cap_ends_a_quintic_at_2_within_2_s():
+    proc = subprocess.run([sys.executable, "-c", BIG_PUSHFORWARD],
+                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    elapsed, message = proc.stdout.split(maxsplit=1)
+    assert "_PUSHFORWARD_BITS = 65536" in message and "p=2" in message
+    assert float(elapsed) < 2.0, elapsed

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import splitrad.localheights
 from splitrad.dynamics import (NewtonPolygon, Poly, center, escape_exponent, newton_polygon,
                                parse_poly)
-from splitrad.exact import DomainError, valuation
+from splitrad.exact import DomainError, is_prime, valuation
 from splitrad.localheights import splitting_exponent
 
 
@@ -135,7 +135,7 @@ def test_pinned_polygon_values():
 # ---------------------------------------------------------------------------
 
 def test_polygon_of_a_poly_is_kept_per_prime():
-    f = parse_poly("z^3 + (1/5)*z^2 + 7")
+    f = parse_poly("z^3 + (1/5)*z^2 + 1/7")  # 5 and 7 are candidate bad primes
     assert newton_polygon(f, 5) is newton_polygon(f, 5)
     assert newton_polygon(f, 7) is newton_polygon(f, 7)
     assert newton_polygon(f, 5) != newton_polygon(f, 7)
@@ -143,6 +143,18 @@ def test_polygon_of_a_poly_is_kept_per_prime():
     fq = f.as_qpoly()
     assert newton_polygon(fq, 5) == newton_polygon(f, 5)
     assert newton_polygon(fq, 5) is not newton_polygon(fq, 5)
+
+
+def test_polygons_at_good_primes_are_not_kept():
+    f = parse_poly("z^3 + (1/5)*z^2")
+    newton_polygon(f, 5)
+    kept = len(f._memo)
+    primes = [p for p in range(11, 8000) if is_prime(p)][:1000]
+    for p in primes:
+        assert newton_polygon(f, p) == newton_polygon(f.as_qpoly(), p)
+        escape_exponent(f, p)
+    assert len(f._memo) == kept
+    assert newton_polygon(f, 5) is newton_polygon(f, 5)
 
 
 def test_non_prime_leaves_nothing_in_the_memo():

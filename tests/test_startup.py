@@ -8,13 +8,16 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# one run of every subcommand but equipotential; a pool triple over Q(t)
-# and a quintic whose f' has an irreducible cubic factor included
+# one run of every subcommand but equipotential; a pool triple over Q(t), a
+# quintic whose f' has an irreducible cubic factor, and a canonical height on a
+# quintic whose f' is an irreducible quartic (its basin disks need only the
+# rational roots of f') included
 ARGVS = [
     ["analyze", "--poly", "z^3 + (1/5)*z^2"],
     ["hcrit", "--poly", "z^3 + (1/5)*z^2"],
     ["hcrit", "--poly", "z^5 + (1/7)*z^2"],
     ["canonical-height", "--poly", "z^3 + (1/5)*z^2", "--point", "1/2"],
+    ["canonical-height", "--poly", "z^5 + z + 1", "--point", "1/2"],
     ["preperiodic", "--poly", "-(2/9)*z^3 - z^2"],
     ["disk-chain", "--poly", "z^3 + (1/5)*z^2", "--place", "5", "--depth", "4"],
     ["wings", "--poly", "z^7 + (1/11)*z^2", "--place", "11"],

@@ -468,6 +468,7 @@ print(time.perf_counter() - start, len(w.clusters))
 """
 
 
+@pytest.mark.budget
 def test_wings_at_degree_64_exits_0_within_2_s_as_a_fresh_process():
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "splitrad.cli", "wings", "--poly",
@@ -479,6 +480,7 @@ def test_wings_at_degree_64_exits_0_within_2_s_as_a_fresh_process():
     assert elapsed < 2.0, elapsed
 
 
+@pytest.mark.budget
 def test_wing_clusters_at_degree_32_within_1_s():
     proc = subprocess.run([sys.executable, "-c", DEGREE_32], env=ENV, capture_output=True,
                           text=True, timeout=10)
