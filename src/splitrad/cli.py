@@ -257,6 +257,9 @@ def main(argv=None) -> int:
     except UndeterminedError as e:
         sys.stderr.write(f"undetermined: {e}\n")
         return 3
+    except OSError as e:  # --config or --out cannot be opened
+        sys.stderr.write(f"error: {e}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ search box.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from itertools import chain
@@ -17,8 +18,8 @@ from .exact import (DomainError, Frozen, UndeterminedError, _int_valuation, divi
                     prime_support, valuation)
 from .intervals import Slotted
 from .places import FIELD_Q, FIELD_QT, _ground
-from .qpoly import (QPoly, RatFunc, _fp_roots, format_tpoly, irreducible_factors, poly_add,
-                    poly_derivative, poly_horner, poly_mul, poly_shift, poly_trim)
+from .qpoly import (QPoly, RatFunc, _fp_roots, _rootless_factors, format_tpoly, poly_add,
+                    poly_derivative, poly_horner, poly_mul, poly_powmod, poly_shift, poly_trim)
 
 
 class ParseError(DomainError):
@@ -40,10 +41,10 @@ _ONE = {FIELD_Q: 1, FIELD_QT: RatFunc.const(1)}
 class Poly(Slotted):
     """Dense polynomial a_0..a_d over the ground field, a_d != 0, d >= 2.
 
-    A Poly is never changed after construction, so what is derived from it
-    alone (critical points, centre, bad primes, the Newton polygon at each
-    bad prime, the QPoly form) is computed once and kept in _memo, which
-    equality, hashing, repr and pickling ignore.
+    A Poly is never changed after construction, so what is derived from it alone (the
+    rational roots and the rest of f', critical points, centre, bad primes, the Newton polygon
+    at each bad prime, the QPoly form and its iterates, the archimedean constants) is computed
+    once and kept in _memo, which equality, hashing, repr and pickling ignore.
     """
 
     __slots__ = ("coeffs", "field", "_memo")
@@ -165,6 +166,11 @@ def _bits(c) -> int:
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
+def _digits_error(what: str, pos: int) -> ParseError:
+    return ParseError(f"{what} more than {sys.get_int_max_str_digits()} decimal digits, "
+                      f"the limit of sys.get_int_max_str_digits() on printing an integer", pos)
+
+
 def _tokenize(text: str):
     toks = []
     i, n = 0, len(text)
@@ -177,7 +183,10 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("int", int(text[i:j]), i))
+            try:
+                toks.append(("int", int(text[i:j]), i))
+            except ValueError:
+                raise _digits_error("a literal has", i) from None
             i = j
         elif ch in ("z", "t"):
             toks.append(("name", ch, i))
@@ -222,6 +231,10 @@ class _Parser:
         t = self.peek()
         if t[0] != "end":
             raise ParseError(f"unexpected {t[1]!r}", t[2])
+        try:  # a value Python cannot print would be computed, then fail to be echoed
+            list(map(repr, v))
+        except ValueError:
+            raise _digits_error("a coefficient has", t[2]) from None
         return v
 
     def expr(self):
@@ -322,14 +335,7 @@ class _Parser:
             return [c ** e]
         if e < 0:
             raise ParseError("negative power of an expression involving z", pos)
-        out = [self.ground(1)]
-        while e:
-            if e & 1:
-                out = poly_mul(out, a)
-            e >>= 1
-            if e:
-                a = poly_mul(a, a)
-        return out
+        return poly_powmod(a, e) if e else [self.ground(1)]
 
 
 def parse_poly(text: str, field: str = FIELD_Q) -> Poly:
@@ -403,6 +409,11 @@ def _monomial(coeff_str: str, i: int, always_coeff: bool) -> str:
 # critical points and superattracting cycles (over Q)
 # ---------------------------------------------------------------------------
 
+def _critical_split(f: Poly) -> tuple[list[tuple[Fraction, int]], QPoly]:
+    """(rational roots of f' with multiplicity, the rest of f'), found once per Poly."""
+    return f._once("critical_split", lambda: f.derivative_qpoly()._rational_roots_and_rest())
+
+
 def critical_points(f: Poly) -> tuple[list[tuple[Fraction, int]], list[QPoly]]:
     """Rational roots of f' with multiplicity, plus leftover irreducible factors of f'.
 
@@ -411,13 +422,9 @@ def critical_points(f: Poly) -> tuple[list[tuple[Fraction, int]], list[QPoly]]:
     if f.field != FIELD_Q:
         raise DomainError("critical points are computed over Q")
 
-    def compute():
-        factors = irreducible_factors(f.derivative_qpoly())
-        return (tuple(sorted((-g[0], mult) for g, mult in factors if g.degree() == 1)),
-                tuple(g for g, mult in factors if g.degree() > 1 for _ in range(mult)))
-
-    roots, leftovers = f._once("critical_points", compute)
-    return list(roots), list(leftovers)
+    leftovers = f._once("critical_points", lambda: tuple(
+        g for g, mult in _rootless_factors(_critical_split(f)[1]) for _ in range(mult)))
+    return list(_critical_split(f)[0]), list(leftovers)
 
 
 def superattracting_cycles(f: Poly, m_max: int) -> list[tuple[tuple[Fraction, ...], int]]:
@@ -426,11 +433,9 @@ def superattracting_cycles(f: Poly, m_max: int) -> list[tuple[tuple[Fraction, ..
         raise DomainError("m_max >= 1 required")
     if f.field != FIELD_Q:
         raise DomainError("cycle search runs over Q")
-    # the rational roots of f', as in critical_points, without factoring what is left of f'
-    roots = f.derivative_qpoly().rational_roots()
     seen: set[tuple[Fraction, ...]] = set()
     out = []
-    for c, _mult in roots:
+    for c, _ in _critical_split(f)[0]:
         orbit = [c]
         for _ in range(m_max):
             nxt = f(orbit[-1])
@@ -445,6 +450,12 @@ def superattracting_cycles(f: Poly, m_max: int) -> list[tuple[tuple[Fraction, ..
                 break  # left for good; cannot return to c
             orbit.append(nxt)
     return out
+
+
+def _iterate_qpoly(f: Poly, m: int) -> QPoly:
+    """f^m = f^(m-1) o f over Q as a QPoly, composed once per Poly and m."""
+    return f.as_qpoly() if m == 1 else f._once(
+        ("iterate", m), lambda: _iterate_qpoly(f, m - 1).eval(f.as_qpoly()))
 
 
 def in_superattracting_family(f: Poly, m: int) -> bool:

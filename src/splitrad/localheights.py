@@ -24,9 +24,9 @@ from functools import lru_cache
 from .exact import (DomainError, LogValue, UndeterminedError, Value, is_prime, prime_support,
                     valuation)
 # NewtonPolygon is re-exported: pickles made before it moved to dynamics name it here
-from .dynamics import (NewtonPolygon, Poly, _is_candidate_bad, _print_coeffs,
-                       candidate_bad_primes, center, critical_points, escape_exponent,
-                       newton_polygon, superattracting_cycles)
+from .dynamics import (NewtonPolygon, Poly, _critical_split, _is_candidate_bad, _iterate_qpoly,
+                       _print_coeffs, candidate_bad_primes, center, critical_points,
+                       escape_exponent, newton_polygon, superattracting_cycles)
 from .intervals import CBox, Interval, horner, horner_centered
 from .places import FIELD_Q, Place
 from .qpoly import (QPoly, _mod_reduce, poly_add, poly_derivative, poly_divmod, poly_gcd,
@@ -129,25 +129,6 @@ def escape_rate_nonarch(f: Poly, p: int, z, maxiter: int = 30) -> LogValue:
 # archimedean escape rate
 # ---------------------------------------------------------------------------
 
-def _arch_threshold(f: Poly) -> tuple[float, float]:
-    """Float upper bounds for Theta and for the ratio sum sum|a_i|/|a_d| of the tail bound.
-
-    When a coefficient or a bound lies beyond the float range both are inf:
-    no finite enclosure then passes the escape test, so only the
-    invariant-disk certificate remains.
-    """
-    d = f.degree
-    lc = abs(f.lc)
-    ratio_sum = sum((abs(f[i]) for i in range(d)), Fraction(0)) / lc
-    try:
-        ratio_hi = math.nextafter(float(ratio_sum), math.inf)
-        th = max(1.0, 2.0 * float(ratio_sum) * (1 + 1e-12),
-                 (4.0 / float(lc)) ** (1.0 / (d - 1)) * (1 + 1e-12))
-    except (OverflowError, ZeroDivisionError):  # |a_d|, ratio_sum or 1/|a_d| beyond the float range
-        return math.inf, math.inf
-    return math.nextafter(th, math.inf), ratio_hi
-
-
 # Cycles of period m > 1 get basin disks only while f^m has degree d^m <= this
 # cap, so that composing and Taylor-shifting f^m stays cheap; fixed points always do.
 _BASIN_MAX_DEGREE = 64
@@ -177,14 +158,8 @@ def _basin_disks(f: Poly) -> tuple[tuple[Fraction, Fraction], ...]:
         d, m_max = f.degree, 1
         while d ** (m_max + 1) <= _BASIN_MAX_DEGREE:
             m_max += 1
-        fq = f.as_qpoly()
-        disks = []
-        for cycle, m in superattracting_cycles(f, m_max):
-            F = fq
-            for _ in range(m - 1):
-                F = F.eval(fq)
-            disks += [(alpha, _contraction_radius(F.shift(alpha).coeffs)) for alpha in cycle]
-        return tuple(disks)
+        return tuple((alpha, _contraction_radius(_iterate_qpoly(f, m).shift(alpha).coeffs))
+                     for cycle, m in superattracting_cycles(f, m_max) for alpha in cycle)
 
     return f._once("basin_disks", compute)
 
@@ -208,15 +183,34 @@ def _contraction_radius(b) -> Fraction:
     return Fraction(2) ** e
 
 
-def _basin_tests(f: Poly) -> tuple[tuple, tuple]:
-    """(screens, basins) for the disks of _basin_disks(f), computed once per Poly.
+class _Arch:
+    """The archimedean constants of one map, built once per Poly by _arch.
 
-    screens is () or (k, disks) for _in_basin: every disk lies in |z| < 2^k, and
-    disks holds (alpha, r, float(alpha), float(r)), leaving out an alpha beyond
-    the float range.  basins holds (A, r_lo) for _encloses_in_basin, with A the
-    enclosure of alpha and r_lo the lower end of r's.
+    theta_hi and ratio_hi bound Theta and the tail's sum|a_i|/|a_d| from above;
+    both are inf when a coefficient or a bound lies beyond the float range, and
+    only the invariant-disk certificate is left.  log_ad and c_ad enclose
+    log|a_d| and log|a_d|/(d - 1); coeffs and ccoeffs are the Interval and CBox
+    coefficients.  screens is () or (k, disks) for _in_basin: every disk of
+    _basin_disks lies in |z| < 2^k, and disks holds (alpha, r, float(alpha),
+    float(r)) but for an alpha beyond the float range.  basins holds (A, r_lo)
+    for _encloses_in_basin: A encloses alpha, and r_lo <= r.
     """
-    def compute():
+
+    def __init__(self, f: Poly):
+        d = f.degree
+        lc = abs(f.lc)
+        ratio_sum = sum((abs(f[i]) for i in range(d)), Fraction(0)) / lc
+        try:
+            self.ratio_hi = math.nextafter(float(ratio_sum), math.inf)
+            th = max(1.0, 2.0 * float(ratio_sum) * (1 + 1e-12),
+                     (4.0 / float(lc)) ** (1.0 / (d - 1)) * (1 + 1e-12))
+            self.theta_hi = math.nextafter(th, math.inf)
+        except (OverflowError, ZeroDivisionError):  # |a_d|, ratio_sum or 1/|a_d| beyond the float range
+            self.theta_hi = self.ratio_hi = math.inf
+        self.log_ad = Interval.log_of_fraction(lc)
+        self.c_ad = self.log_ad * Interval.from_fraction(Fraction(1, d - 1))
+        self.coeffs = [Interval.from_fraction(c) for c in f.coeffs]
+        self.ccoeffs = [CBox(c, Interval.zero()) for c in self.coeffs]
         disks = _basin_disks(f)
         screens = []
         for alpha, r in disks:
@@ -227,14 +221,17 @@ def _basin_tests(f: Poly) -> tuple[tuple, tuple]:
         if screens:
             reach = max(abs(a) + rf for _, _, a, rf in screens)
             screens = (math.frexp(reach)[1] + 1, tuple(screens))
-        return tuple(screens), tuple((Interval.from_fraction(alpha), Interval.from_fraction(r).lo)
-                                     for alpha, r in disks)
+        self.screens = tuple(screens)
+        self.basins = tuple((Interval.from_fraction(alpha), Interval.from_fraction(r).lo)
+                            for alpha, r in disks)
 
-    return f._once("basin_tests", compute)
+
+def _arch(f: Poly) -> _Arch:
+    return f._once("arch", lambda: _Arch(f))
 
 
 def _in_basin(screens, z: Fraction) -> bool:
-    """Whether z lies in a basin disk of screens (see _basin_tests).
+    """Whether z lies in a basin disk of screens (see _Arch).
 
     Two float tests that can only pass more often than |z - alpha| <= r come
     first: the bit lengths of z's numerator and denominator, then the float
@@ -325,12 +322,10 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
                               maxiter: int, exact_mod: Fraction | None = None) -> LogValue:
     """Escape rate from an Interval or CBox enclosure of the starting point (|z| if exact)."""
     d = f.degree
-    theta_hi, ratio_hi = _arch_threshold(f)
-    c_ad = Interval.log_of_fraction(abs(f.lc)) * Interval.from_fraction(Fraction(1, d - 1))
-    log_ad = Interval.log_of_fraction(abs(f.lc))
+    arch = _arch(f)
+    theta_hi, ratio_hi, c_ad, log_ad = arch.theta_hi, arch.ratio_hi, arch.c_ad, arch.log_ad
+    coeffs = arch.ccoeffs if isinstance(value, CBox) else arch.coeffs
     overflow_guard = 10.0 ** (250 // d)
-    coeffs = [value.enclose(c) for c in f.coeffs]  # once per call, not per evaluation
-    basins = _basin_tests(f)[1]
 
     def candidate(U: Interval, n: int, eps: float) -> Interval:
         """lambda from U containing log|f^n(z)|, with eps >= sum|a_i|/(|a_d||f^n(z)|)."""
@@ -366,7 +361,7 @@ def _escape_rate_arch_generic(f: Poly, value, tol: float, extra_steps: int,
                     return LogValue.from_interval(lam)
                 raise UndeterminedError(
                     f"archimedean enclosure plateaued at width {lam.width:.3g} > tol {tol:.3g}")
-        elif _encloses_in_basin(basins, Z) or _try_invariant(coeffs, Z) is not None:
+        elif _encloses_in_basin(arch.basins, Z) or _try_invariant(coeffs, Z) is not None:
             return LogValue.zero()
         Z = horner_centered(coeffs, Z)
         w, scale = Z.span, max(1.0, Z.modulus().lo)
@@ -401,7 +396,7 @@ def escape_rate_arch(f: Poly, z, tol: float = 1e-9, extra_steps: int = 0,
     """
     _check_arch_args(f, tol, maxiter, extra_steps)
     z = Fraction(z)
-    screens = _basin_tests(f)[0]
+    screens = _arch(f).screens
     if _in_basin(screens, z):
         return LogValue.zero()
     orbit = [z]
@@ -593,7 +588,7 @@ def _parabolic_give_up(f: Poly) -> str | None:
     found = _parabolic_fixed_points(f)
     if not found:
         return None
-    if not (any(q > 2 for _, q in found) or not f.derivative_qpoly().rational_roots()
+    if not (any(q > 2 for _, q in found) or not _critical_split(f)[0]
             or any(_escaping_side(f, alpha) for g, _ in found
                    for alpha, _ in QPoly(g).rational_roots())):
         return None
@@ -647,21 +642,18 @@ def _lambda_crit_finite_general(f: Poly, p: int) -> Fraction:
     d = f.degree
     s_esc = escape_exponent(f, p)
     c_p = Fraction(-valuation(f.lc, p), d - 1)
-    roots, leftovers = critical_points(f)
+    roots, rest = _critical_split(f)  # rest: f' with its rational roots divided out
     best = Fraction(0)
     for r, _ in roots:
         lam = escape_rate_nonarch(f, p, r)
         best = max(best, lam.logs.get(p, Fraction(0)))
-    residual = QPoly.const(1)
-    for g in leftovers:
-        residual = residual * g
-    if residual.degree() < 1:
+    if rest.degree() < 1:
         return best
     # invariant disk about 0 traps every root of size <= t_hi
     inv = _invariant_disk_range(f.as_qpoly(), Fraction(0), p)
     b_exp = newton_polygon(f, p).gauss(s_esc)
     lam_bar = max(Fraction(0), b_exp + c_p)
-    h = residual.monic()
+    h = rest.monic()
     for n in range(_PUSHFORWARD_DEPTH + 1):
         m_slope = newton_polygon(h, p).max_slope()
         if inv is not None and (m_slope is None or m_slope <= inv[1]):
@@ -702,8 +694,6 @@ def critical_height_local(f: Poly, v: Place, tol: float = 1e-9) -> LogValue:
         for g in leftovers:
             for box in complex_root_boxes(g):
                 lams.append(escape_rate_arch_box(f, box, tol))
-        if not lams:
-            return LogValue.zero()
         if all(l.is_exactly_zero() for l in lams):
             return LogValue.zero()
         acc = Interval.zero()

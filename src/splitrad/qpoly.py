@@ -3,9 +3,9 @@
 Every polynomial layer of splitrad runs on one kernel of module-level
 routines over coefficient lists, lowest degree first: poly_trim, poly_add,
 poly_mul, poly_divmod, poly_monic, poly_gcd (monic), poly_derivative,
-poly_powmod (modulo a polynomial), poly_horner, poly_shift (Taylor shift),
-and poly_power_sums and poly_from_power_sums (Newton's identities, which
-build the polynomial of the images of roots); _mod_reduce sends a
+poly_powmod (modulo a polynomial or not), poly_horner, poly_shift (Taylor
+shift), and poly_power_sums and poly_from_power_sums (Newton's identities,
+which build the polynomial of the images of roots); _mod_reduce sends a
 p-integral rational to F_p, and _fp_squarefree and _fp_roots give the
 squarefree pieces and the roots over F_p.  An optional prime
 modulus p makes the routines that take it work over F_p on integer lists;
@@ -100,16 +100,21 @@ def poly_derivative(a, p: int | None = None) -> list:
     return _reduce([i * a[i] for i in range(1, len(a))], p)
 
 
-def poly_powmod(a, e: int, m, p: int | None = None) -> list:
-    """a^e modulo the nonzero m, by repeated squaring."""
-    result = [1]
-    base = poly_divmod(a, m, p)[1]
+def poly_powmod(a, e: int, m=None, p: int | None = None) -> list:
+    """a^e by repeated squaring, modulo the nonzero m unless m is None; [1] for e = 0.
+    No factor 1 is multiplied in, so the zero coefficients stay in a's ring."""
+    def rem(x):
+        return _reduce(x, p) if m is None else poly_divmod(x, m, p)[1]
+
+    result = None
+    base = rem(list(a))
     while e:
         if e & 1:
-            result = poly_divmod(poly_mul(result, base, p), m, p)[1]
-        base = poly_divmod(poly_mul(base, base, p), m, p)[1]
+            result = base if result is None else rem(poly_mul(result, base, p))
         e >>= 1
-    return result
+        if e:
+            base = rem(poly_mul(base, base, p))
+    return [1] if result is None else result
 
 
 def poly_horner(a, x):
@@ -279,14 +284,7 @@ class QPoly(Slotted):
     def __pow__(self, e: int) -> "QPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = QPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return QPoly(poly_powmod(self.coeffs, e))
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
@@ -330,26 +328,25 @@ class QPoly(Slotted):
         return cls(poly_from_power_sums([Fraction(c) for c in ps]))
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
-        """All rational roots with multiplicities, ascending.
+        """All rational roots with multiplicities, ascending."""
+        return self._rational_roots_and_rest()[0]
+
+    def _rational_roots_and_rest(self) -> tuple[list[tuple[Fraction, int]], "QPoly"]:
+        """(rational_roots(), the rest): self with every rational root divided out.
 
         Over an integer form a_n x^n + ... + a_0, a root x = u/v in lowest
         terms has v | a_n, so y = a_n x is an integer root of the monic
         q(y) = a_n^(n-1) p(y/a_n).  Every real root of q lies in one of the
         unit brackets of _root_brackets; each bracket end is tested exactly
-        and every root found is deflated out.
+        and every root found is deflated out, which leaves the rest.
         """
         if self.degree() <= 0:
-            return []
-        p = self
-        roots: dict[Fraction, int] = {}
-        k = 0
-        while p[0] == 0:
-            p = QPoly(p.coeffs[1:])
-            k += 1
-        if k:
-            roots[Fraction(0)] = k
+            return [], self
+        k = next(i for i, c in enumerate(self.coeffs) if c)  # the root 0, k times
+        p = QPoly(self.coeffs[k:])
+        roots = {Fraction(0): k} if k else {}
         if p.degree() <= 0:
-            return sorted(roots.items())
+            return sorted(roots.items()), p
         den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
         ip = [int(c * den_lcm) for c in p.coeffs]
         g = math.gcd(*ip)
@@ -367,7 +364,7 @@ class QPoly(Slotted):
                 p = p.exact_div(QPoly([-cand, 1]))
                 mult += 1
             roots[cand] = mult
-        return sorted(roots.items())
+        return sorted(roots.items()), p
 
     def __repr__(self) -> str:
         return f"QPoly({format_tpoly(self)})"
@@ -429,18 +426,17 @@ def irreducible_factors(p: QPoly) -> list[tuple[QPoly, int]]:
     rational root, so at degree 2 or 3 it is irreducible; only a rest of
     degree >= 4 goes to sympy.
     """
-    if p.degree() <= 0:
-        return []
-    roots = p.rational_roots()
-    rest = p.monic()
-    for r, m in roots:
-        rest = rest.exact_div(QPoly([-r, 1]) ** m)
-    out = [(QPoly([-r, 1]), m) for r, m in roots]
-    if rest.degree() >= 4:
-        out += _factor_cached(rest.coeffs)
-    elif rest.degree() > 0:
-        out.append((rest, 1))
+    roots, rest = p._rational_roots_and_rest()
+    out = [(QPoly([-r, 1]), m) for r, m in roots] + _rootless_factors(rest)
     return sorted(out, key=lambda fm: (fm[0].degree(), fm[0].coeffs))
+
+
+def _rootless_factors(rest: QPoly) -> list[tuple[QPoly, int]]:
+    """irreducible_factors of a rest with no rational root, in the same order."""
+    rest = rest.monic()
+    if rest.degree() >= 4:
+        return list(_factor_cached(rest.coeffs))
+    return [(rest, 1)] if rest.degree() > 0 else []
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import (DomainError, INFINITY, LogValue, UndeterminedError, Value, as_json,
                     prime_support, valuation)
-from .dynamics import (Poly, candidate_bad_primes, conjugate, newton_polygon, parse_poly,
+from .dynamics import (Poly, _iterate_qpoly, candidate_bad_primes, newton_polygon, parse_poly,
                        preperiodic_points, superattracting_cycles)
 from .intervals import Interval, Slotted
 from .localheights import critical_height_global, critical_height_local, splitting_exponent
@@ -48,7 +48,7 @@ _MAX_CYCLE_PERIOD = 6  # the longest superattracting cycle an equidistribution r
 
 
 def _superattracting_normalization(f: Poly) -> tuple[Poly, Fraction, int]:
-    """(F, p0, m): F = translate of f^m with the superattracting point at 0."""
+    """(F, p0, m): F(z) = f^m(z + p0) - p0, the Taylor shift of f^m at p0 but for F(0) = 0."""
     cycles = superattracting_cycles(f, _MAX_CYCLE_PERIOD)
     if not cycles:
         raise DomainError("map has no rational superattracting cycle within the period cap")
@@ -56,10 +56,7 @@ def _superattracting_normalization(f: Poly) -> tuple[Poly, Fraction, int]:
     p0 = cycle[0]
     if m == 1 and p0 == 0:
         return f, p0, m  # f itself, with what its memo already holds
-    fq = g = f.as_qpoly()
-    for _ in range(m - 1):
-        g = g.eval(fq)
-    return conjugate(Poly(g.coeffs), 1, -p0), p0, m
+    return Poly([0, *_iterate_qpoly(f, m).shift(p0).coeffs[1:]]), p0, m
 
 
 def _check_m0(m0: int) -> None:
@@ -319,6 +316,8 @@ def theorem_experiment(family_text: str, param: str, values, m0: int = 1,
     """
     if param in ("z", "t"):
         raise DomainError("parameter name collides with a variable")
+    if not param.isidentifier():
+        raise DomainError(f"parameter name {param!r} is not an identifier")
     _check_m0(m0)
     rows: list[dict] = []
     skips: list[tuple[str, str]] = []

@@ -88,7 +88,7 @@ DIRECTIONS = [(F(1), F(0)), (F(0), F(1)), (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 
 @example(parse_poly("2^1100*z^2"), F(1))              # r = 2^-1101, below the float range
 def test_basin_disks_contract_and_enclose(f, s):
     disks = lh._basin_disks(f)
-    basins = lh._basin_tests(f)[1]
+    basins = lh._arch(f).basins
     m_max = max([1] + [m for m in range(2, 7) if f.degree ** m <= lh._BASIN_MAX_DEGREE])
     centres = {alpha for cycle, _ in superattracting_cycles(f, m_max) for alpha in cycle}
     assert {alpha for alpha, _ in disks} == centres
@@ -201,3 +201,18 @@ def test_disks_end_bounded_orbits_before_the_search():
         assert escape_rate_arch(f, F(1, 10)).is_exactly_zero()
         assert escape_rate_arch(parse_poly("z^2 - 1"), F(-9, 10)).is_exactly_zero()
         assert critical_height_local(parse_poly("z^5 + (1/7)*z^2"), Place.arch()).is_exactly_zero()
+
+
+def test_f_m_is_composed_once_across_basin_disks_and_equidistribution(monkeypatch):
+    # z^2 - 1 has the superattracting 2-cycle 0 -> -1 -> 0: both need f^2
+    from splitrad.stats import _superattracting_normalization, equidistribution_report
+
+    compositions = []
+    real = QPoly.eval
+    monkeypatch.setattr(QPoly, "eval", lambda self, x: (
+        compositions.append(x) if isinstance(x, QPoly) else None) or real(self, x))
+    f = parse_poly("z^2 - 1")
+    assert lh._basin_disks(f) == ((0, F(1, 8)), (-1, F(1, 16)))
+    assert _superattracting_normalization(f) == (parse_poly("z^4 - 2*z^2"), 0, 2)
+    equidistribution_report(f, [0, 1, 2], F(1, 2), 1)
+    assert len(compositions) == 1

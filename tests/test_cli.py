@@ -304,3 +304,38 @@ def test_parabolic_maps_exit_3_at_once_as_fresh_processes():
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr)
         assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_config_and_out_files_that_cannot_be_opened_exit_1(capsys, tmp_path):
+    # both raised a traceback; the --out one only after the result was computed
+    code, out, err = run(capsys, "--config", str(tmp_path / "missing.cfg"), "hcrit",
+                         "--poly", "z^2 + 1/5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "missing.cfg" in err and err.count("\n") == 1
+    code, out, err = run(capsys, "hcrit", "--poly", "z^2 + 1/5", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_values_past_the_printable_digit_limit_exit_2_before_any_work(capsys):
+    # these were computed, then failed to print their echo with Python's own message
+    limit = sys.get_int_max_str_digits()
+    for argv in (["hcrit", "--poly", "z^2 + 10^5000"],
+                 ["canonical-height", "--poly", "z^2 + 1/3", "--point", "10^5000"],
+                 ["canonical-height", "--poly", "z^2 + 1/3", "--point", "7" * 4500]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, "")
+        assert f"more than {limit} decimal digits, the limit of sys.get_int_max_str_digits()" \
+            in err and "Exceeds" not in err
+    code, out, _ = run(capsys, "canonical-height", "--poly", "z^2 + 1/3", "--point", "10^4000")
+    assert code == 0 and json.loads(out)["point"] == str(10 ** 4000)
+
+
+def test_experiment_param_must_be_an_identifier(capsys):
+    # "(" never matched, so every value was skipped as a parse failure with exit 0
+    code, out, err = run(capsys, "experiment", "--family", "z^3 + (1/a)*z^2", "--param", "(",
+                         "--values", "5,7")
+    assert (code, out) == (2, "")
+    assert err == "domain error: parameter name '(' is not an identifier\n"

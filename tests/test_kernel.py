@@ -47,6 +47,7 @@ def test_kernel_over_q_matches_sympy(a, b, s):
     assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
     assert poly_gcd(a, b) == _from_sympy(A.gcd(B).monic())
     assert poly_derivative(a) == _from_sympy(A.diff(_x))
+    assert poly_powmod(a, 3) == _from_sympy(A ** 3)
     assert poly_trim(poly_shift(a, s)) == _from_sympy(A.shift(sympy.Rational(s.numerator,
                                                                              s.denominator)))
 
@@ -69,6 +70,7 @@ def test_kernel_over_fp_matches_sympy(case):
     assert (q, r) == (_from_sympy(sq, p), _from_sympy(sr, p))
     assert poly_gcd(a, b, p) == _from_sympy(A.gcd(B).monic(), p)
     assert poly_derivative(a, p) == _from_sympy(A.diff(_x), p)
+    assert poly_powmod(a, e, p=p) == _from_sympy(A ** e, p)  # m = None: no reduction
     assume(len(b) > 1)
     assert poly_powmod(a, e, b, p) == _from_sympy((A ** e).rem(B), p)
 

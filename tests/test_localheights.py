@@ -572,3 +572,15 @@ def test_pushforward_size_cap_ends_a_quintic_at_2_within_2_s():
     elapsed, message = proc.stdout.split(maxsplit=1)
     assert "_PUSHFORWARD_BITS = 65536" in message and "p=2" in message
     assert float(elapsed) < 2.0, elapsed
+
+
+def test_escape_rate_arch_builds_the_archimedean_record_once(monkeypatch):
+    # Theta, the log|a_d| enclosures, the coefficient enclosures and the basin tests
+    # are kept on the map, so ten calls take one log, that of |a_d|
+    logs = []
+    real = Interval.log_of_fraction
+    monkeypatch.setattr(Interval, "log_of_fraction",
+                        classmethod(lambda cls, q: logs.append(q) or real(q)))
+    f = parse_poly("z^3 + (1/5)*z^2 + (3/7)*z - 2/11")
+    results = {repr(escape_rate_arch(f, F(7, 2))) for _ in range(10)}
+    assert len(results) == 1 and logs == [1]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -290,18 +291,31 @@ def test_theorem_experiment_runs_miller_rabin_once_per_prime(monkeypatch, family
 
 @pytest.mark.parametrize("family", ["z^3 + (1/a)*z^2", "z^5 + (1/a)*z^2"])
 def test_theorem_experiment_factors_each_derivative_once(monkeypatch, family):
-    # the critical points of a map are kept on it, so f' is factored once per value
+    # the critical points of a map are kept on it, so the rest of f' left by its
+    # rational roots is factored once per value
     calls = []
-    real = splitrad.dynamics.irreducible_factors
+    real = splitrad.dynamics._rootless_factors
 
-    def irreducible_factors(p):
+    def _rootless_factors(p):
         calls.append(p)
         return real(p)
 
-    monkeypatch.setattr(splitrad.dynamics, "irreducible_factors", irreducible_factors)
+    monkeypatch.setattr(splitrad.dynamics, "_rootless_factors", _rootless_factors)
     rows, skips = theorem_experiment(family, "a", [7, 11, 13])
     assert rows and not skips
     assert len(calls) == 3
+
+
+def test_theorem_experiment_finds_the_rational_roots_of_f_prime_once(monkeypatch):
+    # critical_points, the basin disks' superattracting_cycles and the normalization
+    # of equidistribution_report all read one (roots, rest) pair kept on the map
+    seen = []
+    real = QPoly._rational_roots_and_rest
+    monkeypatch.setattr(QPoly, "_rational_roots_and_rest",
+                        lambda self: seen.append(self) or real(self))
+    rows, skips = theorem_experiment("z^5 + (1/a)*z^2", "a", [11])
+    assert rows and not skips
+    assert seen.count(parse_poly("z^5 + (1/11)*z^2").derivative_qpoly()) == 1
 
 
 def test_theorem_experiment_skips():
@@ -347,3 +361,15 @@ def test_m0_above_the_chain_depth_cap_raises_before_any_work(monkeypatch):
     assert calls == []
     assert equidistribution_report(F5, [0, 1], F(1, 2), 999).m0 == 999
     assert calls == ["_superattracting_normalization"]
+
+
+def test_theorem_experiment_param_must_be_an_identifier():
+    # "" substituted the value at every word boundary; "(" never matched, so every
+    # value was skipped as a parse failure
+    for param in ("", "(", "a b", "1a"):
+        with pytest.raises(DomainError, match=f"parameter name {re.escape(repr(param))} "
+                                              "is not an identifier"):
+            theorem_experiment("z^3 + (1/a)*z^2", param, [5])
+    for param in ("z", "t"):
+        with pytest.raises(DomainError, match="parameter name collides with a variable"):
+            theorem_experiment("z^3 + (1/a)*z^2", param, [5])
